@@ -51,7 +51,7 @@ class GeneratorMatrix:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
             dev = np.abs(self.matrix - self.matrix.conj().T).max()
-            if dev > HERMITICITY_TOL:
+            if not dev <= HERMITICITY_TOL:  # a NaN defect fails too
                 raise ValueError(f"generator is not Hermitian (defect {dev})")
             self._eig = np.linalg.eigh(self.matrix)
         return self._eig
@@ -74,22 +74,20 @@ def _hermitian_check(H: np.ndarray, d: int) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} Hamiltonian, got {H.shape}")
-    if np.abs(H - H.conj().T).max() > 1e-8:
-        raise ValueError("Hamiltonian must be Hermitian")
+    if not np.abs(H - H.conj().T).max() <= 1e-8:  # a NaN defect fails too
+        raise ValueError("Hamiltonian must be Hermitian and finite")
     return H
 
 
 def _structure_phases(kernel) -> np.ndarray:
     """phi[a, b] with K_a K_b = phi[a, b] K_{a+b}, from the symbolic phases."""
-    p, n, N = kernel.p, kernel.n, kernel.N
+    p = kernel.p
     vec = kernel.vectors
     e = np.array([op.eta_exp for op in kernel.ops])
     ii = np.array([op.i_exp for op in kernel.ops])
     X, Y = vec[:, 0::2], vec[:, 1::2]
     cross = Y @ X.T  # product phase sum_b k_a s_b per block
-    codes = np.array(
-        [[index_code(p, (vec[a] + vec[b]) % p) for b in range(N)] for a in range(N)]
-    )
+    codes = index_code(p, vec[:, None, :] + vec[None, :, :])
     eta_exp = (e[:, None] + e[None, :] + cross - e[codes]) % p
     i_exp = (ii[:, None] + ii[None, :] - ii[codes]) % 4
     return eta(p) ** eta_exp * (-1j) ** i_exp
@@ -108,9 +106,7 @@ def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     vec = kernel.vectors
     phi = _structure_phases(kernel)
     # diff[w, u] = code(w - u); v = u - w has code diff[u, w]
-    diff = np.array(
-        [[index_code(p, (vec[w] - vec[u]) % p) for u in range(N)] for w in range(N)]
-    )
+    diff = index_code(p, vec[:, None, :] - vec[None, :, :])
     rows = np.arange(N)[:, None]
     vcode = diff.T
     bracket = phi[rows, vcode] - phi[vcode, rows]
@@ -130,14 +126,12 @@ def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     H = _hermitian_check(H, d)
     kernel = wigner_kernel(p, n, "dynamics")
     chiH = kernel.char_values(H)
-    N = kernel.N
     vec = kernel.vectors
     # code(2(y - v)) for every (v, y)
-    diff2 = np.array(
-        [[index_code(p, (2 * (vec[y] - vec[v])) % p) for y in range(N)] for v in range(N)]
-    )
+    diff2 = index_code(p, 2 * (vec[None, :, :] - vec[:, None, :]))
     w = eta(p)
-    voy = kernel._vsym  # [v, y] = v o y mod p
+    X, Y = vec[:, 0::2], vec[:, 1::2]
+    voy = (Y @ X.T - X @ Y.T) % p  # [v, y] = v o y mod p
     L = (w ** ((2 * voy) % p) * chiH[diff2] - w ** ((2 * voy.T) % p) * chiH[diff2.T]) / d
     return GeneratorMatrix("wigner", p, n, L)
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .geometry import phase_geometry
 from .mub import MubProjector, mub_projector
+from .spins import index_code
 from .wigner import CharTable, WignerTable, random_density, random_pure_density
 
 
@@ -25,6 +26,8 @@ def matrix_from_json(data) -> np.ndarray:
     arr = np.array(data, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix JSON must be rows of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix JSON has non-finite (NaN or infinite) entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -100,11 +103,10 @@ def wigner_table_from_json(data: dict) -> WignerTable:
     p, n = int(data["p"]), int(data["n"])
     N = p ** (2 * n)
     values = np.zeros(N, dtype=complex)
-    from .spins import index_code
-
-    for rec in data["values"]:
-        w = rec["w"]
-        values[index_code(p, rec["v"])] = complex(w[0], w[1]) if isinstance(w, list) else w
+    recs = data["values"]
+    values[index_code(p, [r["v"] for r in recs])] = [
+        complex(*r["w"]) if isinstance(r["w"], list) else r["w"] for r in recs
+    ]
     return WignerTable(p, n, data["convention"], values)
 
 
@@ -128,25 +130,19 @@ def wigner_csv_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:
     """n=1: one p x p grid, rows v1 (top row v1=0), columns v0.
     n=2: one such grid per second-subsystem point, preceded by a comment."""
     p = wt.p
-    vals = wt.real_values(tol)
-    kern = wt.kernel
-    lines = []
+    vals = wt.real_values(tol).reshape((p,) * (2 * wt.n))  # code order: [v0, v1, ...]
 
-    def grid_value(v0, v1, tail=()):
-        return vals[kern.code((v0, v1) + tail)]
+    def grid(g):
+        return [",".join(f"{x:.17g}" for x in row) for row in g.T]
 
     if wt.n == 1:
-        for v1 in range(p):
-            lines.append(",".join(f"{grid_value(v0, v1):.17g}" for v0 in range(p)))
-        return lines
+        return grid(vals)
     if wt.n == 2:
+        lines = []
         for x1 in range(p):
             for y1 in range(p):
                 lines.append(f"# slice x1={x1} y1={y1}")
-                for v1 in range(p):
-                    lines.append(
-                        ",".join(f"{grid_value(v0, v1, (x1, y1)):.17g}" for v0 in range(p))
-                    )
+                lines += grid(vals[:, :, x1, y1])
         return lines
     raise ValueError("CSV export is defined for n = 1 and n = 2")
 
@@ -159,7 +155,6 @@ def wigner_pgm_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:
     vals = wt.real_values(tol)
     lo, hi = float(vals.min()), float(vals.max())
     span = hi - lo
-    kern = wt.kernel
     lines = [
         "P2",
         f"# Wigner heatmap, rows v1=0..{p - 1} top to bottom, cols v0=0..{p - 1}",
@@ -167,12 +162,9 @@ def wigner_pgm_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:
         f"{p} {p}",
         "255",
     ]
-    for v1 in range(p):
-        row = []
-        for v0 in range(p):
-            g = 0 if span == 0 else int(round(255 * (vals[kern.code((v0, v1))] - lo) / span))
-            row.append(str(g))
-        lines.append(" ".join(row))
+    for row in vals.reshape(p, p).T:  # rows v1, columns v0
+        greys = [0 if span == 0 else int(round(255 * (x - lo) / span)) for x in row]
+        lines.append(" ".join(map(str, greys)))
     return lines
 
 

@@ -3,14 +3,13 @@
 The unitary basis is S_{j,k} = sum_m eta^{jm} |m><m+k| with eta = e^{2 pi i/d}
 and index arithmetic mod d. Tensor products over n subsystems of dimension p
 are indexed by vectors in V_{2n}(p). Products, powers and adjoints close on
-the set {eta_p^a (-i)^b S_index}, so phases are carried as integer exponents
-and matrices are only materialized for traces, eigenvalues and final output.
+the set {eta_p^a (-i)^b S_index}, so phases are carried as integer exponents;
+each S_w is monomial, so basis-wide traces and sums are FFTs (SpinBasis).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,14 +171,21 @@ def tensor_spin(p: int, iv: tuple) -> np.ndarray:
 
 def all_index_vectors(p: int, n: int) -> np.ndarray:
     """All p^{2n} vectors of V_{2n}(p), in lexicographic (big-endian) order."""
-    return np.array(list(itertools.product(range(p), repeat=2 * n)), dtype=int)
+    return np.indices((p,) * (2 * n)).reshape(2 * n, -1).T.copy()
 
 
-def index_code(p: int, iv) -> int:
-    code = 0
-    for c in iv:
-        code = code * p + int(c) % p
-    return code
+def index_code(p: int, iv):
+    """Big-endian base-p code of an index vector; for a stack of vectors
+    (last axis = components) the array of codes, in one integer dot."""
+    a = np.asarray(iv, dtype=np.int64) % p
+    codes = a @ p ** np.arange(a.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return int(codes) if codes.ndim == 0 else codes
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only and return it."""
+    a.setflags(write=False)
+    return a
 
 
 @functools.lru_cache(maxsize=32)
@@ -188,9 +194,12 @@ def spin_basis(p: int, n: int) -> "SpinBasis":
 
 
 class SpinBasis:
-    """Cached stack of all tensor spin matrices for one (p, n).
+    """All tensor spin matrices of one (p, n), held matrix-free.
 
-    trace_mat[i] is vec(S_i^T), so tr(rho S_i) for all i is one mat-vec.
+    S_w for w = (x, y) blockwise is monomial, S_w[m, m+y] = eta^{x.m}, so
+    tr(A S_w) = sum_m A[m+y, m] eta^{x.m}: a gather along the cyclic
+    diagonals of A into the (m, y) slots of V_{2n}(p), then an inverse FFT
+    over the m axes, which turns each m into x in place.
     """
 
     def __init__(self, p: int, n: int):
@@ -199,21 +208,26 @@ class SpinBasis:
         self.p = p
         self.n = n
         self.dim = p**n
-        self.vectors = all_index_vectors(p, n)
-        N = len(self.vectors)
-        d = self.dim
-        self.stack = np.zeros((N, d, d), dtype=complex)
-        for i, iv in enumerate(self.vectors):
-            self.stack[i] = tensor_spin(p, tuple(iv))
-        self.trace_mat = self.stack.transpose(0, 2, 1).reshape(N, d * d)
+        self.vectors = frozen(all_index_vectors(p, n))
+        m, y = self.vectors[:, 0::2], self.vectors[:, 1::2]
+        # _diag[code(m, y)] = flat position of entry (m + y, m) of a d x d matrix
+        self._diag = frozen(index_code(p, m + y) * self.dim + index_code(p, m))
+
+    def _ifft_m(self, a) -> np.ndarray:
+        a = np.asarray(a, dtype=complex).reshape((self.p,) * (2 * self.n))
+        return np.fft.ifftn(a, axes=range(0, 2 * self.n, 2)).ravel() * self.dim
 
     def traces(self, A: np.ndarray) -> np.ndarray:
-        """tr(A S_i) for every index vector i."""
-        return self.trace_mat @ np.asarray(A, dtype=complex).ravel()
+        """tr(A S_w) for every index vector w, in code order."""
+        return self._ifft_m(np.asarray(A, dtype=complex).ravel()[self._diag])
 
-    def adjoint_traces(self, A: np.ndarray) -> np.ndarray:
-        """tr(S_i^dagger A) for every index vector i."""
-        return np.conj(self.trace_mat) @ np.asarray(A, dtype=complex).T.ravel()
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """sum_w c_w S_w for coefficients c in code order, the inverse
+        scatter of traces: entry (m, m+y) is sum_x c_{x,y} eta^{x.m}."""
+        d = self.dim
+        M = np.zeros(d * d, dtype=complex)
+        M[self._diag] = self._ifft_m(c)
+        return M.reshape(d, d).T
 
 
 def spin_decompose(A: np.ndarray, p: int, n: int) -> dict:
@@ -223,15 +237,11 @@ def spin_decompose(A: np.ndarray, p: int, n: int) -> dict:
     if A.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix, got {A.shape}")
     basis = spin_basis(p, n)
-    coeffs = basis.adjoint_traces(A)
-    return {tuple(int(c) for c in iv): coeffs[i] for i, iv in enumerate(basis.vectors)}
+    coeffs = np.conj(basis.traces(A.conj().T))
+    return dict(zip(map(tuple, basis.vectors.tolist()), coeffs))
 
 
 def spin_recompose(coeffs: dict, p: int, n: int) -> np.ndarray:
     """Inverse of spin_decompose."""
     basis = spin_basis(p, n)
-    d = basis.dim
-    A = np.zeros((d, d), dtype=complex)
-    for i, iv in enumerate(basis.vectors):
-        A += coeffs[tuple(int(c) for c in iv)] * basis.stack[i]
-    return A / d
+    return basis.combine([coeffs[iv] for iv in map(tuple, basis.vectors.tolist())]) / basis.dim

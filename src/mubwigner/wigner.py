@@ -18,8 +18,10 @@ generator operators. Conventions:
              (p=2), the phase family used for Hamiltonian evolution
 
 Wigner tables are the symplectic Fourier transform of characteristic tables,
-W(v) = p^{-2n} sum_w eta^{v o w} chi(w); marginals over shifted isotropic
-subspaces reproduce the MUB outcome probabilities in every convention.
+W(v) = p^{-2n} sum_w eta^{v o w} chi(w), computed with FFTs over the 2n axes
+of V_{2n}(p); conventions differ only by the kernel phases. Marginals
+over shifted isotropic subspaces reproduce the MUB outcome probabilities in
+every convention.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .fields import FieldError, is_prime, prime_inverse
 from .geometry import PhaseGeometry, phase_geometry
 from .mub import mub_projector
-from .spins import PhasedOperator, eta, index_code, phased_spin, spin_basis, spin_decompose
+from .spins import PhasedOperator, frozen, index_code, phased_spin, spin_basis, spin_decompose
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
 ZERO_TOL = 1e-10
@@ -69,7 +71,7 @@ def wigner_kernel(p: int, n: int, convention: str) -> "WignerKernel":
 
 
 class WignerKernel:
-    """Cached phase tables, Fourier matrix and A operators for one convention."""
+    """Cached kernel phases, index tables and A operators for one convention."""
 
     def __init__(self, p: int, n: int, convention: str):
         if not is_prime(p):
@@ -85,15 +87,10 @@ class WignerKernel:
         self.N = len(self.vectors)
         self.shifts = self._shift_table()
         self.ops = self._kernel_ops()
-        self.phases = np.array([op.phase for op in self.ops])
-        self._chi_mat = self.phases[:, None] * self.basis.trace_mat
-        X = self.vectors[:, 0::2]
-        Y = self.vectors[:, 1::2]
-        self._vsym = (Y @ X.T - X @ Y.T) % p  # [i, j] = w_i o w_j
-        self.ft = eta(p) ** self._vsym / self.N
-        self._neg_perm = np.array(
-            [index_code(p, (-self.vectors[i]) % p) for i in range(self.N)]
-        )
+        self.phases = frozen(np.array([op.phase for op in self.ops]))
+        self._neg_perm = frozen(index_code(p, -self.vectors))
+        self._axes = (tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2)))  # x, y
+        self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
         self._gen_outcomes: dict[int, np.ndarray] = {}
         self._a_stack: Optional[np.ndarray] = None
 
@@ -138,19 +135,16 @@ class WignerKernel:
 
     def _kernel_ops(self) -> list[PhasedOperator]:
         p, n = self.p, self.n
-        ops: list[Optional[PhasedOperator]] = [None] * self.N
         if self.convention == "dynamics":
             inv2 = prime_inverse(2, p) if p % 2 else 0
-            for i, w in enumerate(self.vectors):
-                ww = int(sum(w[0::2] * w[1::2]))
-                if p == 2:
-                    op = PhasedOperator(p, n, tuple(w), 0, ww)
-                else:
-                    op = PhasedOperator(p, n, tuple(w), inv2 * ww, 0)
-                ops[i] = op
-            return ops  # type: ignore[return-value]
+            ww = (self.vectors[:, 0::2] * self.vectors[:, 1::2]).sum(axis=1).tolist()
+            vecs = map(tuple, self.vectors.tolist())
+            if p == 2:
+                return [PhasedOperator(p, n, w, 0, e) for w, e in zip(vecs, ww)]
+            return [PhasedOperator(p, n, w, inv2 * e, 0) for w, e in zip(vecs, ww)]
         assert self.shifts is not None
         identity = PhasedOperator(p, n, (0,) * (2 * n))
+        found = []
         for alpha in range(self.geom.num_classes):
             gens = [phased_spin(p, g, with_alpha=True) for g in self.geom.generator_sets[alpha].gens]
             shifts = self.shifts[alpha]
@@ -160,12 +154,11 @@ class WignerKernel:
                 for r, br in enumerate(b):
                     acc = acc @ gens[r].power(br)
                     phase += shifts[r] * br
-                op = PhasedOperator(p, n, acc.index, acc.eta_exp + phase, acc.i_exp)
-                code = index_code(p, op.index)
-                if ops[code] is None:
-                    ops[code] = op
-        assert all(op is not None for op in ops)
-        return ops  # type: ignore[return-value]
+                found.append(PhasedOperator(p, n, acc.index, acc.eta_exp + phase, acc.i_exp))
+        # the classes meet only at the origin; keep the first operator per code
+        codes, first = np.unique(index_code(p, [op.index for op in found]), return_index=True)
+        assert len(codes) == self.N
+        return [found[i] for i in first]
 
     # -- derived tables ---------------------------------------------------------
 
@@ -185,10 +178,8 @@ class WignerKernel:
             gX, gY = gens[:, 0::2], gens[:, 1::2]
             symp = (Y @ gX.T - X @ gY.T) % self.p  # [u, j] = u o g_j(alpha)
             shifted = (symp + np.array(self.shifts[alpha])[None, :]) % self.p
-            codes = np.zeros(self.N, dtype=int)
-            for j in range(self.n):
-                codes += shifted[:, j] * self.p**j
-            self._gen_outcomes[alpha] = codes
+            # little-endian outcome code sum_j s_j p^j
+            self._gen_outcomes[alpha] = frozen(shifted @ self.p ** np.arange(self.n))
         return self._gen_outcomes[alpha]
 
     def a_stack(self) -> np.ndarray:
@@ -202,19 +193,34 @@ class WignerKernel:
             stack = np.zeros((self.N, d, d), dtype=complex)
             stack -= np.eye(d)
             for alpha in range(self.geom.num_classes):
-                projs = np.zeros((self.dim, d, d), dtype=complex)
-                for s in itertools.product(range(p), repeat=n):
-                    code = sum(sj * p**j for j, sj in enumerate(s))
-                    projs[code] = mub_projector(self.geom, alpha, s).matrix
+                # product order is big-endian, outcome codes little-endian
+                projs = np.array([mub_projector(self.geom, alpha, b[::-1]).matrix
+                                  for b in itertools.product(range(p), repeat=n)])
                 stack += projs[self.gen_outcome_codes(alpha)]
-            self._a_stack = stack / d
+            self._a_stack = frozen(stack / d)
         return self._a_stack
 
     def char_values(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {rho.shape}")
-        return self._chi_mat @ rho.ravel()
+        return self.phases * self.basis.traces(rho)
+
+    def symplectic_ft(self, values: np.ndarray) -> np.ndarray:
+        """W(v) = p^{-2n} sum_w eta^{v o w} chi(w), with v o w = sum_b
+        v_y w_x - v_x w_y: ifftn over the x axes, fftn over the y axes, then
+        x and y swapped in each block."""
+        x, y = self._axes
+        a = np.asarray(values, dtype=complex).reshape((self.p,) * (2 * self.n))
+        a = np.fft.fftn(np.fft.ifftn(a, axes=x), axes=y)
+        return a.transpose(self._swap).ravel() / self.dim
+
+    def inverse_symplectic_ft(self, values: np.ndarray) -> np.ndarray:
+        """chi(w) = sum_v eta^{w o v} W(v): symplectic_ft undone step by step."""
+        x, y = self._axes
+        a = np.asarray(values, dtype=complex).reshape((self.p,) * (2 * self.n))
+        a = np.fft.ifftn(np.fft.fftn(a.transpose(self._swap), axes=x), axes=y)
+        return a.ravel() * self.dim
 
     def code(self, w: Sequence[int]) -> int:
         return index_code(self.p, w)
@@ -276,13 +282,11 @@ def char_function(
 
 def wigner_from_char(chi: CharTable) -> WignerTable:
     k = chi.kernel
-    return WignerTable(chi.p, chi.n, chi.convention, k.ft @ chi.values)
+    return WignerTable(chi.p, chi.n, chi.convention, k.symplectic_ft(chi.values))
 
 
 def char_from_wigner(wt: WignerTable) -> CharTable:
-    k = wt.kernel
-    # inverse of the symplectic transform: chi = N * ft^dagger W
-    return CharTable(wt.p, wt.n, wt.convention, k.N * (k.ft.conj().T @ wt.values))
+    return CharTable(wt.p, wt.n, wt.convention, wt.kernel.inverse_symplectic_ft(wt.values))
 
 
 def wigner_function(
@@ -313,9 +317,8 @@ def marginal_along(wt: WignerTable, alpha: int, s: Sequence[int]) -> float:
 def density_from_char(chi: CharTable) -> np.ndarray:
     """rho = (1/p^n) sum_w chi(w) G(w)^dagger (valid for any input matrix)."""
     k = chi.kernel
-    coeff = chi.values * np.conj(k.phases)
-    rho = np.tensordot(coeff, np.conj(k.basis.stack.transpose(0, 2, 1)), axes=(0, 0))
-    return rho / k.dim
+    # sum_w chi(w) G(w)^dagger = (sum_w chi(w)^* phi(w) S_w)^dagger
+    return k.basis.combine(np.conj(chi.values) * k.phases).conj().T / k.dim
 
 
 def reconstruct_density(wt: WignerTable) -> np.ndarray:
@@ -440,9 +443,8 @@ def wigner_partial_transpose(wt: WignerTable) -> WignerTable:
             raise ConventionError("odd-p partial transpose needs the separable convention")
         k = wt.kernel
         vecs = k.vectors.copy()
-        vecs[:, 2] = (p - 1 - vecs[:, 2]) % p
-        perm = np.array([index_code(p, v) for v in vecs])
-        return WignerTable(p, 2, wt.convention, wt.values[perm])
+        vecs[:, 2] = p - 1 - vecs[:, 2]
+        return WignerTable(p, 2, wt.convention, wt.values[index_code(p, vecs)])
     if wt.convention not in ("p2-left", "p2-right"):
         raise ConventionError("p=2 partial transpose needs a p2 convention")
     chi = char_from_wigner(wt)
@@ -467,8 +469,8 @@ def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> 
     Returns the most negative eigenvalue; when negative, the witness B is the
     projector onto its eigenvector, reported in spin-matrix coefficients."""
     rho = np.asarray(rho, dtype=complex)
-    if np.abs(rho - rho.conj().T).max() > 1e-8:
-        raise ValueError("positivity check expects a Hermitian matrix")
+    if not np.abs(rho - rho.conj().T).max() <= 1e-8:  # a NaN defect fails too
+        raise ValueError("positivity check expects a finite Hermitian matrix")
     vals, vecs = np.linalg.eigh(rho)
     lam = float(vals[0])
     if lam >= -tol:
@@ -499,12 +501,9 @@ def wigner_maximally_entangled(p: int) -> WignerTable:
     convention: (1/p^2) on the p^2 points with x1 = -1 - x0 and y1 = y0."""
     if p == 2 or not is_prime(p):
         raise ValueError("closed form is stated for odd primes")
-    k = wigner_kernel(p, 2, "separable")
-    vals = np.zeros(k.N, dtype=complex)
-    for i, v in enumerate(k.vectors):
-        if (1 + v[0] + v[2]) % p == 0 and v[1] == v[3]:
-            vals[i] = 1.0 / p**2
-    return WignerTable(p, 2, "separable", vals)
+    v = wigner_kernel(p, 2, "separable").vectors
+    on = ((1 + v[:, 0] + v[:, 2]) % p == 0) & (v[:, 1] == v[:, 3])
+    return WignerTable(p, 2, "separable", on / p**2 + 0j)
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -281,3 +281,44 @@ def test_cli_written_table_round_trips(tmp_path, rng):
     assert rc == 0
     table = wigner_table_from_json(json.loads((tmp_path / "w.json").read_text()))
     assert np.abs(reconstruct_density(table) - rho).max() < TOL
+
+
+def _nan_state(tmp_path, d, rng):
+    rho = random_density(d, rng)
+    rho[0, 1] = np.nan
+    return write_json(tmp_path / "nan.json", matrix_to_json(rho))
+
+
+def test_cli_wigner_rejects_nan_input(tmp_path, rng):
+    state = _nan_state(tmp_path, 3, rng)
+    rc = main(["wigner", "--p", "3", "--n", "1", "--input", state, "--out", str(tmp_path / "w")])
+    assert rc == 2
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_cli_check_rejects_nan_input(tmp_path, rng):
+    from mubwigner.cli import _check_state, build_parser
+
+    state = _nan_state(tmp_path, 3, rng)
+    out = str(tmp_path / "rep.json")
+    argv = ["check", "--p", "3", "--n", "1", "--input", state, "--checks", "marginals", "--out", out]
+    assert main(argv) == 2
+    # a NaN that reaches the marginals check makes it fail, not pass
+    rho = random_density(3, rng)
+    rho[0, 1] = np.nan
+    res = _check_state(build_parser().parse_args(argv), rho, "plain")["marginals"]
+    assert np.isnan(res["max_deviation"]) and not res["passed"]
+
+
+def test_cli_evolve_rejects_nan_hamiltonian(tmp_path, rng):
+    from mubwigner.dynamics import build_char_generator
+
+    state = write_json(tmp_path / "s.json", matrix_to_json(random_density(3, rng)))
+    H = np.eye(3, dtype=complex)
+    H[1, 1] = np.nan
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(H))
+    rc = main(["evolve", "--p", "3", "--n", "1", "--input", state, "--hamiltonian", hfile,
+               "--out", str(tmp_path / "t.jsonl")])
+    assert rc == 2
+    with pytest.raises(ValueError, match="Hermitian"):
+        build_char_generator(H, 3, 1)

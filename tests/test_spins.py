@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import SIGMA
 from mubwigner.spins import (
+    all_index_vectors,
     alpha_factor,
     eta,
+    index_code,
     phased_spin,
     spin_decompose,
     spin_matrix,
@@ -196,3 +198,20 @@ def test_decompose_recompose_round_trip(data):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     back = spin_recompose(spin_decompose(A, p, n), p, n)
     assert np.abs(back - A).max() < 1e-12 * max(1.0, np.abs(A).max())
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 2), (2, 3)])
+def test_index_code_of_a_stack_matches_scalar_loop(p, n):
+    def loop_code(iv):  # Horner's rule, one component at a time
+        code = 0
+        for c in iv:
+            code = code * p + int(c) % p
+        return code
+
+    vecs = all_index_vectors(p, n)
+    assert index_code(p, vecs).tolist() == list(range(p ** (2 * n)))
+    shifted = vecs - 2 * p  # negative components reduce mod p
+    assert index_code(p, shifted).tolist() == [loop_code(v) for v in shifted]
+    assert index_code(p, shifted[:, None, :]).shape == (len(vecs), 1)
+    last = index_code(p, tuple(shifted[-1]))
+    assert isinstance(last, int) and last == len(vecs) - 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SIGMA, random_hermitian
+from dense_oracle import DenseKernel, ft_matrix, spin_stack
 from mubwigner.fields import prime_inverse
 from mubwigner.geometry import phase_geometry
 from mubwigner.mub import mub_projector
@@ -261,10 +262,53 @@ def test_a_operator_basis(p, n, conv):
     flat = A.reshape(len(A), -1)
     overlaps = (flat @ flat.conj().T).real
     assert np.abs(overlaps - np.eye(len(A)) / d).max() < TOL
-    # independent route: A(u) = p^{-2n} sum_w eta^{u o w} G(w)
-    G = k.phases[:, None, None] * k.basis.stack
-    A_ft = np.tensordot(k.ft, G, axes=(1, 0))
+    # independent route: A(u) = p^{-2n} sum_w eta^{u o w} G(w), dense oracle
+    G = k.phases[:, None, None] * spin_stack(p, n, k.vectors)
+    A_ft = np.tensordot(ft_matrix(k), G, axes=(1, 0))
     assert np.abs(A - A_ft).max() < TOL
+
+
+# every (p, n, convention) with d <= 27
+ORACLE_CASES = ALL_CASES + [
+    (2, 3, "dynamics"),
+    (3, 3, "plain"),
+    (3, 3, "dynamics"),
+    (5, 2, "plain"),
+    (5, 2, "separable"),
+    (5, 2, "dynamics"),
+]
+
+
+@pytest.mark.parametrize("p,n,conv", ORACLE_CASES)
+def test_matrix_free_transforms_match_dense_oracle(p, n, conv, rng):
+    d = p**n
+    k = wigner_kernel(p, n, conv)
+    dense = DenseKernel(k)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    c = rng.normal(size=k.N) + 1j * rng.normal(size=k.N)
+    rho = random_density(d, rng)
+    assert np.abs(k.basis.traces(A) - dense.traces(A)).max() < 1e-12
+    assert np.abs(k.basis.combine(c) - dense.combine(c)).max() < 1e-12
+    chi = char_function(rho, p, n, conv)
+    assert np.abs(chi.values - dense.char_function(rho)).max() < 1e-12
+    wt = wigner_from_char(chi)
+    assert np.abs(wt.values - dense.wigner_from_char(chi.values)).max() < 1e-12
+    assert np.abs(char_from_wigner(wt).values - dense.char_from_wigner(wt.values)).max() < 1e-12
+    assert np.abs(reconstruct_density(wt) - dense.reconstruct_density(wt.values)).max() < 1e-12
+
+
+def _assert_read_only(a):
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a.flat[0] = a.flat[0]
+
+
+@pytest.mark.parametrize("p,n,conv", [(3, 1, "plain"), (2, 2, "p2-left"), (3, 2, "separable")])
+def test_cached_arrays_are_read_only(p, n, conv):
+    k = wigner_kernel(p, n, conv)
+    for a in (k.basis.vectors, k.basis._diag, k.phases, k._neg_perm,
+              k.gen_outcome_codes(0), k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv)):
+        _assert_read_only(a)
 
 
 def test_a_operator_qubit_closed_form():
@@ -492,3 +536,24 @@ def test_density_table_properties_hold_for_any_state(data):
     assert stats.max_abs <= p ** (-n / 2) + TOL
     assert abs(plancherel_inner(wt, wt) - np.trace(rho @ rho).real) < TOL
     assert np.abs(reconstruct_density(wt) - rho).max() < TOL
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (11, 2)])
+def test_invariants_beyond_dense_reach(p, n, rng):
+    # d = 81 and d = 121: the dense N x d^2 tables would need GBs here
+    d = p**n
+    conv = default_convention(p, n)
+    rho = random_density(d, rng)
+    wt = wigner_function(rho, p, n, conv)
+    assert np.abs(reconstruct_density(wt) - rho).max() < 1e-12
+    assert abs(wt.values.sum() - np.trace(rho)) < 1e-12
+    assert abs(d * np.sum(wt.values**2) - np.trace(rho @ rho)) < 1e-12
+    # a MUB projector is p^{-n} on its line, 0 elsewhere
+    k = wt.kernel
+    s = tuple(j % p for j in range(n))
+    for alpha in (0, 1, d):
+        P = mub_projector(k.geom, alpha, s).matrix
+        on = k.gen_outcome_codes(alpha) == sum(sj * p**j for j, sj in enumerate(s))
+        assert on.sum() == d
+        W = wigner_function(P, p, n, conv).values
+        assert np.abs(W - np.where(on, p**-n, 0.0)).max() < 1e-12
