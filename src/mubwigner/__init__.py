@@ -48,6 +48,7 @@ from .mub import (
     CommutingClass,
     MubProjector,
     MubReport,
+    class_vectors,
     commuting_class,
     full_mub,
     mub_projector,

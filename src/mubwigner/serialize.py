@@ -13,13 +13,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import phase_geometry
-from .mub import MubProjector, mub_projector
+from .mub import MubProjector, commuting_class, mub_projector
 from .spins import index_code
 from .wigner import CharTable, WignerTable, random_density, random_pure_density
 
 
 def matrix_to_json(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
+    """A complex array as nested lists, each entry an [re, im] pair."""
+    M = np.asarray(M, dtype=complex)
+    return np.stack((M.real, M.imag), axis=-1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -85,17 +87,14 @@ def wigner_table_to_json(wt: WignerTable, tol: float = 1e-10) -> dict:
     back to [re, im] pairs."""
     kern = wt.kernel
     if np.abs(wt.values.imag).max() <= tol:
-        entries = [float(v.real) for v in wt.values]
+        entries = wt.values.real.tolist()
     else:
-        entries = [[float(v.real), float(v.imag)] for v in wt.values]
+        entries = matrix_to_json(wt.values)
     return {
         "p": wt.p,
         "n": wt.n,
         "convention": wt.convention,
-        "values": [
-            {"v": [int(c) for c in kern.vectors[i]], "w": entries[i]}
-            for i in range(kern.N)
-        ],
+        "values": [{"v": v, "w": w} for v, w in zip(kern.vectors.tolist(), entries)],
     }
 
 
@@ -171,33 +170,47 @@ def wigner_pgm_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:
 # -- MUB export ------------------------------------------------------------------
 
 
-def mub_to_json(bases, p: int, n: int) -> dict:
-    from .mub import commuting_class
+def _mub_basis_to_json(geom, alpha: int, basis) -> dict:
+    label = "inf" if alpha == geom.dim else list(geom.field.from_int(alpha).coeffs)
+    compact = [
+        {
+            "b": list(b),
+            "index": list(op.index),
+            "eta_exp": op.eta_exp,
+            "i_exp": op.i_exp,
+        }
+        for b, op in sorted(commuting_class(geom, alpha).members.items())
+    ]
+    return {
+        "alpha": label,
+        "generators": [list(g) for g in geom.generator_sets[alpha].gens],
+        "projectors": [matrix_to_json(P.matrix) for P in basis],
+        "outcomes": [list(P.s) for P in basis],
+        "class_operators": compact,
+    }
 
+
+def mub_to_json(bases, p: int, n: int) -> dict:
     geom = phase_geometry(p, n)
-    out_bases = []
+    return {
+        "p": p,
+        "n": n,
+        "field": geom.field.to_json(),
+        "bases": [_mub_basis_to_json(geom, alpha, basis) for alpha, basis in enumerate(bases)],
+    }
+
+
+def write_mub_json(fh, bases, p: int, n: int) -> None:
+    """Write json.dumps(mub_to_json(bases, p, n)) to fh, one basis at a time.
+
+    json.dumps runs the C encoder, which json.dump does not; encoding per basis
+    keeps the whole document out of memory, as a string and as a dict."""
+    head = json.dumps(mub_to_json([], p, n))  # ends in the empty list: '[]}'
+    fh.write(head[:-2])
+    geom = phase_geometry(p, n)
     for alpha, basis in enumerate(bases):
-        label = "inf" if alpha == geom.dim else list(geom.field.from_int(alpha).coeffs)
-        cls = commuting_class(geom, alpha)
-        compact = [
-            {
-                "b": list(b),
-                "index": list(op.index),
-                "eta_exp": op.eta_exp,
-                "i_exp": op.i_exp,
-            }
-            for b, op in sorted(cls.members.items())
-        ]
-        out_bases.append(
-            {
-                "alpha": label,
-                "generators": [list(g) for g in geom.generator_sets[alpha].gens],
-                "projectors": [matrix_to_json(P.matrix) for P in basis],
-                "outcomes": [list(P.s) for P in basis],
-                "class_operators": compact,
-            }
-        )
-    return {"p": p, "n": n, "field": geom.field.to_json(), "bases": out_bases}
+        fh.write((", " if alpha else "") + json.dumps(_mub_basis_to_json(geom, alpha, basis)))
+    fh.write("]}")
 
 
 def spin_coeffs_to_json(coeffs: dict) -> dict:
@@ -218,6 +231,6 @@ def spin_coeffs_from_json(data: dict) -> dict:
 def trajectory_record(t: float, chi: CharTable, density: np.ndarray) -> dict:
     return {
         "t": float(t),
-        "chi": [[float(z.real), float(z.imag)] for z in chi.values],
+        "chi": matrix_to_json(chi.values),
         "density": matrix_to_json(density),
     }

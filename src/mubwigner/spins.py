@@ -48,6 +48,18 @@ def alpha_factor(p: int, j: int, k: int) -> complex:
     return 1.0
 
 
+# built as (-1j) ** k so that signed zeros match Python complex powers
+_MINUS_I_POWERS = np.array([(-1j) ** k for k in range(4)])
+
+
+def unit_phases(p: int, eta_exp, i_exp=0):
+    """eta_p^eta_exp * (-i)^i_exp, elementwise over integer exponent arrays."""
+    i_exp = np.asarray(i_exp)
+    if p == 2:  # keep qubit phases exact: eta_2 = -1 = (-i)^2
+        return _MINUS_I_POWERS[(2 * np.asarray(eta_exp) + i_exp) % 4]
+    return (eta(p) ** np.arange(p))[np.asarray(eta_exp) % p] * _MINUS_I_POWERS[i_exp % 4]
+
+
 def _binom2(m: int) -> int:
     # integer m(m-1)/2, evaluated before any reduction mod p
     return (m * (m - 1)) // 2
@@ -76,9 +88,7 @@ class PhasedOperator:
 
     @property
     def phase(self) -> complex:
-        if self.p == 2:  # keep qubit phases exact: eta_2 = -1 = (-i)^2
-            return complex((-1j) ** ((2 * self.eta_exp + self.i_exp) % 4))
-        return eta(self.p) ** self.eta_exp * (-1j) ** self.i_exp
+        return complex(unit_phases(self.p, self.eta_exp, self.i_exp))
 
     def __matmul__(self, other: "PhasedOperator") -> "PhasedOperator":
         if (self.p, self.n) != (other.p, other.n):

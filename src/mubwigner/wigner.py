@@ -35,8 +35,16 @@ import numpy as np
 
 from .fields import FieldError, is_prime, prime_inverse
 from .geometry import PhaseGeometry, phase_geometry
-from .mub import mub_projector
-from .spins import PhasedOperator, frozen, index_code, phased_spin, spin_basis, spin_decompose
+from .mub import class_vectors
+from .spins import (
+    PhasedOperator,
+    frozen,
+    index_code,
+    phased_spin,
+    spin_basis,
+    spin_decompose,
+    unit_phases,
+)
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
 ZERO_TOL = 1e-10
@@ -87,7 +95,9 @@ class WignerKernel:
         self.N = len(self.vectors)
         self.shifts = self._shift_table()
         self.ops = self._kernel_ops()
-        self.phases = frozen(np.array([op.phase for op in self.ops]))
+        self.phases = frozen(unit_phases(
+            p, [op.eta_exp for op in self.ops], [op.i_exp for op in self.ops]
+        ))
         self._neg_perm = frozen(index_code(p, -self.vectors))
         self._axes = (tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2)))  # x, y
         self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
@@ -193,9 +203,11 @@ class WignerKernel:
             stack = np.zeros((self.N, d, d), dtype=complex)
             stack -= np.eye(d)
             for alpha in range(self.geom.num_classes):
-                # product order is big-endian, outcome codes little-endian
-                projs = np.array([mub_projector(self.geom, alpha, b[::-1]).matrix
-                                  for b in itertools.product(range(p), repeat=n)])
+                # vector rows are in big-endian outcome order, outcome codes
+                # little-endian: reverse the digit axes
+                V = class_vectors(self.geom, alpha).reshape((p,) * n + (d,))
+                V = V.transpose(*range(n - 1, -1, -1), n).reshape(d, d)
+                projs = np.einsum("si,sj->sij", V, V.conj())
                 stack += projs[self.gen_outcome_codes(alpha)]
             self._a_stack = frozen(stack / d)
         return self._a_stack

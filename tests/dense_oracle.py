@@ -2,14 +2,15 @@
 
 The library is matrix-free; these build the objects it avoids, from
 independent pieces: every S_w as a Kronecker product of single-subsystem
-matrices (PhasedOperator.matrix), and the symplectic Fourier matrix
-eta^{v o w} / N from the kernel's index vectors. Memory grows as d^4, so keep
+matrices (PhasedOperator.matrix), the symplectic Fourier matrix
+eta^{v o w} / N from the kernel's index vectors, and each MUB projector as a
+product of powers of dense generator matrices. Memory grows as d^4, so keep
 them to d <= 27.
 """
 
 import numpy as np
 
-from mubwigner.spins import PhasedOperator, eta
+from mubwigner.spins import PhasedOperator, eta, phased_spin
 
 
 def spin_stack(p, n, vectors):
@@ -50,3 +51,24 @@ class DenseKernel:
         chi = self.char_from_wigner(W)
         G_dag = np.conj(self.k.phases[:, None, None] * self.S).transpose(0, 2, 1)
         return np.tensordot(chi, G_dag, axes=(0, 0)) / self.k.dim
+
+
+def class_generator_ops(geom, alpha):
+    """The alpha-corrected generator operators T_r; each satisfies T_r^p = 1."""
+    return [phased_spin(geom.p, g, with_alpha=True) for g in geom.generator_sets[alpha].gens]
+
+
+def mub_projector_matrix(geom, alpha, s):
+    """P_alpha(s) = prod_r (1/p) sum_b (eta^{s_r} T_r)^b, from dense powers of
+    the Kronecker-product generator matrices."""
+    p, d = geom.p, geom.dim
+    P = np.eye(d, dtype=complex)
+    for r, T in enumerate(class_generator_ops(geom, alpha)):
+        Tm = T.matrix()
+        acc = np.zeros((d, d), dtype=complex)
+        M = np.eye(d, dtype=complex)
+        for b in range(p):
+            acc += eta(p) ** ((s[r] % p) * b) * M
+            M = M @ Tm
+        P = P @ (acc / p)
+    return P

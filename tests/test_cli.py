@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mubwigner.cli import main
-from mubwigner.mub import mub_projector
+from mubwigner.mub import full_mub, mub_projector
 from mubwigner.geometry import phase_geometry
 from mubwigner.serialize import (
     matrix_from_json,
     matrix_to_json,
+    mub_to_json,
     resolve_state,
     wigner_table_from_json,
     wigner_table_to_json,
@@ -68,6 +69,35 @@ def test_cli_mub(tmp_path, capsys):
 
 def test_cli_mub_rejects_nonprime(tmp_path):
     assert main(["mub", "--p", "4", "--n", "1", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_cli_mub_honours_tol(tmp_path):
+    argv = ["mub", "--p", "3", "--n", "1", "--out"]
+    assert main(argv + [str(tmp_path / "a")]) == 0
+    assert json.loads((tmp_path / "a.report.json").read_text())["tol"] == 1e-10
+    assert main(argv + [str(tmp_path / "b"), "--tol", "1e-30"]) == 1
+    report = json.loads((tmp_path / "b.report.json").read_text())
+    assert report["tol"] == 1e-30 and report["passed"] is False
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_cli_mub_file_matches_one_shot_encoding(tmp_path, p, n):
+    assert main(["mub", "--p", str(p), "--n", str(n), "--out", str(tmp_path / "m")]) == 0
+    want = json.dumps(mub_to_json(full_mub(p, n), p, n))
+    assert (tmp_path / "m.json").read_text() == want
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_cli_wigner_json_matches_one_shot_encoding(tmp_path, rng, hermitian):
+    rho = random_density(9, rng)
+    if not hermitian:
+        rho = rho + 0.1j * rng.normal(size=(9, 9))
+    state = write_json(tmp_path / "state.json", matrix_to_json(rho))
+    argv = ["wigner", "--p", "3", "--n", "2", "--input", state, "--format", "json",
+            "--out", str(tmp_path / "w")]
+    assert main(argv) == 0
+    want = json.dumps(wigner_table_to_json(wigner_function(rho, 3, 2), 1e-8))
+    assert (tmp_path / "w.json").read_text() == want
 
 
 def test_cli_wigner_outputs(tmp_path, rng):
@@ -242,6 +272,31 @@ def test_cli_evolve_trajectory(tmp_path):
     assert np.abs(rho0 - mub_projector(geom, 1, (0,)).matrix).max() < 1e-8
     rep = json.loads((tmp_path / "traj.jsonl.report.json").read_text())
     assert rep["trace_drift"] < 1e-8 and rep["purity_drift"] < 1e-8
+
+
+def test_cli_evolve_drifts_keep_nan(tmp_path, monkeypatch):
+    import mubwigner.cli as cli
+
+    real = cli.density_from_dynamics_char
+    steps = []
+
+    def nan_at_second_step(chi):
+        rho = np.array(real(chi))
+        steps.append(chi)
+        if len(steps) == 2:
+            rho[0, 0] = np.nan
+        return rho
+
+    monkeypatch.setattr(cli, "density_from_dynamics_char", nan_at_second_step)
+    S01 = spin_matrix(3, 0, 1)
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(S01 + S01.conj().T))
+    state = write_json(tmp_path / "s.json", {"alpha": [1], "s": [0]})
+    out = tmp_path / "traj.jsonl"
+    argv = ["evolve", "--p", "3", "--n", "1", "--input", state, "--hamiltonian", hfile,
+            "--steps", "3", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "traj.jsonl.report.json").read_text())
+    assert np.isnan(report["trace_drift"]) and np.isnan(report["purity_drift"])
 
 
 def test_cli_evolve_constant_under_zero_hamiltonian(tmp_path, rng):

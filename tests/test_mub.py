@@ -1,12 +1,18 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from conftest import SIGMA
+from dense_oracle import class_generator_ops, mub_projector_matrix
 from mubwigner.geometry import phase_geometry
-from mubwigner.mub import commuting_class, full_mub, mub_projector, verify_mub
-from mubwigner.spins import spin_matrix
+from mubwigner.mub import class_members, commuting_class, full_mub, mub_projector, verify_mub
+from mubwigner.spins import PhasedOperator, phased_spin, spin_matrix
+
+# every (p, n) with d = p^n <= 27
+SMALL = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
+         (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)]
 
 TOL = 1e-10
 
@@ -91,8 +97,6 @@ def test_projector_family(p, n):
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
 def test_projector_factors_commuting_rank_pn_minus_1(p, n):
     # each P_alpha(s) is a product of commuting rank-p^{n-1} projectors
-    from mubwigner.mub import class_generator_ops
-
     geom = phase_geometry(p, n)
     d = p**n
     for alpha in range(geom.num_classes):
@@ -136,3 +140,75 @@ def test_full_mub_rejects_nonprime():
 
     with pytest.raises(FieldError):
         full_mub(4, 1)
+
+
+@pytest.mark.parametrize("p,n", SMALL)
+def test_class_members_match_phased_operator_products(p, n):
+    geom = phase_geometry(p, n)
+    for alpha in range(geom.num_classes):
+        for with_alpha in (True, False):
+            gens = [phased_spin(p, g, with_alpha) for g in geom.generator_sets[alpha].gens]
+            w, e, i_exp = class_members(geom, alpha, with_alpha)
+            for k, b in enumerate(itertools.product(range(p), repeat=n)):
+                acc = PhasedOperator(p, n, (0,) * (2 * n))
+                for op, br in zip(gens, b):
+                    acc = acc @ op.power(br)
+                assert (acc.index, acc.eta_exp, acc.i_exp) == (tuple(w[k]), e[k], i_exp[k])
+
+
+@pytest.mark.parametrize("p,n", SMALL)
+def test_mub_vectors_match_dense_oracle(p, n):
+    geom = phase_geometry(p, n)
+    for basis in full_mub(p, n):
+        for P in basis:
+            assert abs(np.linalg.norm(P.vector) - 1) < 1e-12
+            want = mub_projector_matrix(geom, P.alpha, P.s)
+            assert np.abs(P.matrix - want).max() < 1e-12
+
+
+def test_mub_beyond_dense_reach():
+    # d = 81: orthonormal bases with overlaps 1/d, checked on the vectors only
+    p, n = 3, 4
+    d = p**n
+    bases = full_mub(p, n)
+    report = verify_mub(bases, p, n)
+    assert report.num_bases == d + 1
+    assert report.passed, report
+    V = np.array([[P.vector for P in basis] for basis in bases])
+    assert np.abs(V[5].conj() @ V[5].T - np.eye(d)).max() < TOL
+    assert np.abs(np.abs(V[5].conj() @ V[d].T) ** 2 - 1 / d).max() < TOL
+
+
+@pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 2)])
+def test_verify_mub_fails_on_nan(where):
+    alpha, s, i = where
+    bases = full_mub(3, 1)
+    v = bases[alpha][s].vector.copy()
+    v[i] = np.nan
+    bases[alpha][s] = dataclasses.replace(bases[alpha][s], vector=v)
+    report = verify_mub(bases, 3, 1)
+    assert report.passed is False
+    assert report.to_json()["passed"] is False
+
+
+def test_verify_mub_tolerance():
+    bases = full_mub(3, 1)
+    assert verify_mub(bases, 3, 1).tol == 1e-10
+    report = verify_mub(bases, 3, 1, tol=1e-30)
+    assert report.passed is False
+    assert report.to_json()["tol"] == 1e-30
+
+
+def test_mub_paths_build_no_dense_operator(monkeypatch, tmp_path):
+    from mubwigner.cli import main
+
+    def dense(self):
+        raise AssertionError("dense Kronecker operator built")
+
+    monkeypatch.setattr(PhasedOperator, "matrix", dense)
+    assert verify_mub(full_mub(3, 2), 3, 2).passed
+    state = tmp_path / "state.json"
+    state.write_text('{"random": "density"}')
+    argv = ["check", "--p", "3", "--n", "2", "--input", str(state), "--checks", "marginals",
+            "--out", str(tmp_path / "check.json")]
+    assert main(argv) == 0
