@@ -245,13 +245,15 @@ def cmd_check(args) -> int:
 
 def cmd_evolve(args) -> int:
     _validate_pn(args.p, args.n)
+    if not (np.isfinite(args.t0) and np.isfinite(args.t1)):
+        raise ValueError(f"--t0 and --t1 must be finite, got {args.t0} and {args.t1}")
+    if args.steps < 1:
+        raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(args.seed)
     rho = load_state(args.input, args.p, args.n, rng)
     H = load_matrix(args.hamiltonian)
     gen = build_char_generator(H, args.p, args.n)
     chi0 = char_dynamics_table(rho, args.p, args.n)
-    if args.steps < 1:
-        raise ValueError("steps must be >= 1")
     times = np.linspace(args.t0, args.t1, args.steps)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,12 @@
 The characteristic kernels K_w of the dynamics convention close under
 commutation, [K_w, K_v] = c(w,v) K_{w+v} with exact unit-modulus structure
 constants, so the von Neumann equation drho/dt = -i[H, rho] becomes a linear
-system dchi(w)/dt = i sum_u L(w,u) chi(u) with L Hermitian: evolution is
-exp(-iLt) on the table vector, solved in closed form by eigendecomposition.
+system dchi(w)/dt = -i sum_u L(w,u) chi(u) with L Hermitian and
+L chi_rho = chi_{[H, rho]}: evolution is exp(-iLt) on the table vector,
+solved in closed form by eigendecomposition.
+The eigendecomposition L = V diag(lambda) V^dagger is paid once, O(N^3) with
+N = p^{2n}, and cached; each time point then costs two O(N^2) mat-vecs,
+V (e^{-i lambda t} * (V^dagger chi)), and no N x N propagator is formed.
 For odd primes the same dynamics transfers to Wigner tables through the
 symplectic transform, with generator
 
@@ -23,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import is_prime, FieldError
-from .spins import eta, index_code
+from .spins import eta, frozen, index_code
 from .wigner import (
     CharTable,
     ConventionError,
@@ -42,23 +46,27 @@ class UnsupportedDynamicsError(ValueError):
 
 @dataclass
 class GeneratorMatrix:
+    """L with its cached eigendecomposition; both are read-only."""
+
     kind: str  # "char" | "wigner"
     p: int
     n: int
     matrix: np.ndarray
     _eig: Optional[tuple] = field(default=None, repr=False)
 
+    def __post_init__(self):
+        frozen(self.matrix)
+
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
             dev = np.abs(self.matrix - self.matrix.conj().T).max()
-            if not dev <= HERMITICITY_TOL:  # a NaN defect fails too
+            # relative to the scale of L, which grows with that of H
+            tol = HERMITICITY_TOL * max(1.0, np.abs(self.matrix).max())
+            if not dev <= tol:  # a NaN defect fails too
                 raise ValueError(f"generator is not Hermitian (defect {dev})")
-            self._eig = np.linalg.eigh(self.matrix)
+            lam, V = np.linalg.eigh(self.matrix)
+            self._eig = (frozen(lam), frozen(V))
         return self._eig
-
-    def propagator(self, t: float) -> np.ndarray:
-        lam, V = self.eig()
-        return (V * np.exp(-1j * lam * t)) @ V.conj().T
 
 
 def _check_supported(p: int, n: int) -> None:
@@ -94,7 +102,7 @@ def _structure_phases(kernel) -> np.ndarray:
 
 
 def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
-    """Hermitian L with dchi_rho(w)/dt = i sum_u L(w,u) chi_rho(u) for the von
+    """Hermitian L with dchi_rho(w)/dt = -i sum_u L(w,u) chi_rho(u) for the von
     Neumann flow; evolve() applies exp(-iLt) so that tables follow
     rho(t) = e^{-iHt} rho e^{+iHt} exactly."""
     _check_supported(p, n)
@@ -150,7 +158,12 @@ def evolve(state, gen: GeneratorMatrix, t: float):
         raise ConventionError("dynamics acts on tables in the dynamics convention")
     if (state.p, state.n) != (gen.p, gen.n):
         raise ValueError("state and generator shapes differ")
-    values = gen.propagator(t) @ state.values
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    lam, V = gen.eig()
+    # V^dagger x as conj(x^* V): V.conj() would copy an N x N array
+    coeffs = (state.values.conj() @ V).conj()
+    values = V @ (np.exp(-1j * lam * t) * coeffs)
     return type(state)(state.p, state.n, state.convention, values)
 
 

@@ -299,6 +299,23 @@ def test_cli_evolve_drifts_keep_nan(tmp_path, monkeypatch):
     assert np.isnan(report["trace_drift"]) and np.isnan(report["purity_drift"])
 
 
+@pytest.mark.parametrize("flag,value", [("--t1", "nan"), ("--t0", "inf"), ("--steps", "0")])
+def test_cli_evolve_rejects_bad_times_before_building(tmp_path, monkeypatch, flag, value):
+    import mubwigner.cli as cli
+
+    def no_build(*args):
+        raise AssertionError("the generator was built before the times were checked")
+
+    monkeypatch.setattr(cli, "build_char_generator", no_build)
+    state = write_json(tmp_path / "s.json", {"alpha": [1], "s": [0]})
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(np.eye(3)))
+    out = tmp_path / "t.jsonl"
+    argv = ["evolve", "--p", "3", "--n", "1", "--input", state, "--hamiltonian", hfile,
+            flag, value, "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_cli_evolve_constant_under_zero_hamiltonian(tmp_path, rng):
     rho = random_density(3, rng)
     state = write_json(tmp_path / "s.json", matrix_to_json(rho))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import SIGMA, random_hermitian
 from mubwigner.dynamics import (
+    GeneratorMatrix,
     UnsupportedDynamicsError,
     build_char_generator,
     build_wigner_generator,
@@ -21,6 +24,7 @@ from mubwigner.wigner import (
     char_function,
     plancherel_inner,
     random_density,
+    reconstruct_density,
     wigner_from_char,
     wigner_kernel,
 )
@@ -32,8 +36,19 @@ CHAR_CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 WIGNER_CASES = [(3, 1), (5, 1), (3, 2)]
 
 
+# every (p, n) with d <= 25 and n <= 2
+HILBERT_CASES = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)] + [(2, 2), (3, 2), (5, 2)]
+
+
 def direct_evolution(H, rho, t):
     U = expm(-1j * H * t)
+    return U @ rho @ U.conj().T
+
+
+def hilbert_evolution(H, rho, t):
+    """U rho U^dagger with U = exp(-iHt) from eigh of the d x d H."""
+    lam, Q = np.linalg.eigh(H)
+    U = (Q * np.exp(-1j * lam * t)) @ Q.conj().T
     return U @ rho @ U.conj().T
 
 
@@ -266,3 +281,83 @@ def test_evolve_kind_and_convention_guards(rng):
     plain = char_function(rho, 3, 1, "plain")
     with pytest.raises(ConventionError):
         evolve(plain, genc, 0.1)
+
+
+@pytest.mark.parametrize("p,n", HILBERT_CASES)
+def test_generator_route_matches_hilbert_route(p, n):
+    rng = np.random.default_rng([p, n])
+    d = p**n
+    H = random_hermitian(d, rng)
+    rho = random_density(d, rng)
+    chi0 = char_dynamics_table(rho, p, n)
+    genc = build_char_generator(H, p, n)
+    genw = build_wigner_generator(H, p, n) if p % 2 else None
+    W0 = wigner_from_char(chi0)
+    for t in (-1.3, 0.0, 0.7, 40.0):
+        want = hilbert_evolution(H, rho, t)
+        got = density_from_dynamics_char(evolve(chi0, genc, t))
+        assert np.abs(got - want).max() < TOL
+        if genw is not None:
+            assert np.abs(reconstruct_density(evolve(W0, genw, t)) - want).max() < TOL
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (11, 1)])
+def test_char_generator_is_the_commutator(p, n):
+    # L chi_rho = chi_{[H, rho]}, the matrix-free product
+    rng = np.random.default_rng(5)
+    d = p**n
+    H = random_hermitian(d, rng)
+    rho = random_density(d, rng)
+    k = wigner_kernel(p, n, "dynamics")
+    L = build_char_generator(H, p, n).matrix
+    assert np.abs(L @ k.char_values(rho) - k.char_values(H @ rho - rho @ H)).max() < 1e-12
+
+
+def test_large_hamiltonian_scale_evolves(rng):
+    # the Hermiticity check is relative to the scale of L
+    p, n, scale = 3, 2, 1e6
+    H = scale * random_hermitian(9, rng)
+    rho = random_density(9, rng)
+    gen = build_char_generator(H, p, n)
+    chi0 = char_dynamics_table(rho, p, n)
+    for t in (0.7 / scale, -2.0 / scale):
+        got = density_from_dynamics_char(evolve(chi0, gen, t))
+        assert np.abs(got - hilbert_evolution(H, rho, t)).max() < 1e-10 * np.abs(rho).max()
+
+
+def test_nan_generator_fails_hermiticity_check():
+    L = np.eye(4, dtype=complex)
+    L[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        GeneratorMatrix("char", 2, 1, L).eig()
+
+
+def test_generator_and_its_eigendecomposition_are_read_only(rng):
+    gen = build_char_generator(random_hermitian(3, rng), 3, 1)
+    lam, V = gen.eig()
+    for a in (gen.matrix, lam, V):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5
+
+
+def test_evolve_rejects_non_finite_time(rng):
+    gen = build_char_generator(random_hermitian(3, rng), 3, 1)
+    chi0 = char_dynamics_table(random_density(3, rng), 3, 1)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(chi0, gen, t)
+
+
+def test_evolve_allocates_no_n_by_n_array():
+    # one N x N complex array at (5, 2) is N^2 * 16 bytes = 6.25 MB
+    rng = np.random.default_rng(9)
+    gen = build_char_generator(random_hermitian(25, rng), 5, 2)
+    chi0 = char_dynamics_table(random_density(25, rng), 5, 2)
+    gen.eig()
+    tracemalloc.start()
+    try:
+        evolve(chi0, gen, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
