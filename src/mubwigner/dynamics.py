@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import is_prime, FieldError
-from .spins import eta, frozen, index_code
+from .spins import eta, frozen, index_code, unit_phases
 from .wigner import (
     CharTable,
     ConventionError,
@@ -88,17 +88,14 @@ def _hermitian_check(H: np.ndarray, d: int) -> np.ndarray:
 
 
 def _structure_phases(kernel) -> np.ndarray:
-    """phi[a, b] with K_a K_b = phi[a, b] K_{a+b}, from the symbolic phases."""
-    p = kernel.p
-    vec = kernel.vectors
-    e = np.array([op.eta_exp for op in kernel.ops])
-    ii = np.array([op.i_exp for op in kernel.ops])
+    """phi[a, b] with K_a K_b = phi[a, b] K_{a+b}, from the kernel's exponents."""
+    vec, e, ii = kernel.vectors, kernel.eta_exp, kernel.i_exp
     X, Y = vec[:, 0::2], vec[:, 1::2]
     cross = Y @ X.T  # product phase sum_b k_a s_b per block
-    codes = index_code(p, vec[:, None, :] + vec[None, :, :])
-    eta_exp = (e[:, None] + e[None, :] + cross - e[codes]) % p
-    i_exp = (ii[:, None] + ii[None, :] - ii[codes]) % 4
-    return eta(p) ** eta_exp * (-1j) ** i_exp
+    codes = index_code(kernel.p, vec[:, None, :] + vec[None, :, :])
+    return unit_phases(
+        kernel.p, e[:, None] + e[None, :] + cross - e[codes], ii[:, None] + ii[None, :] - ii[codes]
+    )
 
 
 def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:

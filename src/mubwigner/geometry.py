@@ -14,11 +14,13 @@ Class labels alpha run over 0..p^n; labels below p^n encode field elements
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .fields import FieldElement, GaloisField, FieldError, make_extension
+from .spins import frozen, index_code
 
 
 def symplectic(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
@@ -97,18 +99,23 @@ def generator_set(field: GaloisField, alpha: int) -> GeneratorSet:
     return GeneratorSet(alpha, tuple(gens))
 
 
+def _digits(p: int, n: int) -> np.ndarray:
+    """All vectors of V_n(p), shape (p^n, n), in big-endian code order."""
+    return np.indices((p,) * n).reshape(n, -1).T
+
+
+def _span(gens, p: int) -> np.ndarray:
+    """sum_r b_r g_r mod p for every b in big-endian code order: shape
+    (p^n, 2n) for one generator set (n, 2n), (..., p^n, 2n) for a stack."""
+    g = np.asarray(gens, dtype=np.int64)
+    return (_digits(p, g.shape[-2]) @ g) % p
+
+
 def subspace_points(gs: GeneratorSet, p: int) -> dict[tuple, tuple]:
     """The p^n points spanned by a generator set, keyed by their coefficient
     tuples (so solving w = sum_r b_r g_r(alpha) is a reverse lookup)."""
-    n = len(gs.gens)
-    out = {}
-    for b in itertools.product(range(p), repeat=n):
-        w = [0] * (2 * n)
-        for r, br in enumerate(b):
-            for i in range(2 * n):
-                w[i] = (w[i] + br * gs.gens[r][i]) % p
-        out[b] = tuple(w)
-    return out
+    b = _digits(p, len(gs.gens)).tolist()
+    return dict(zip(map(tuple, b), map(tuple, _span(gs.gens, p).tolist())))
 
 
 def line_points(
@@ -136,9 +143,9 @@ def phase_geometry(p: int, n: int, poly: tuple | None = None) -> "PhaseGeometry"
 
 
 class PhaseGeometry:
-    """Precomputed index tables for one field: generator sets per class,
-    subspace points with their generator coefficients, and the inverse
-    (the index equation w = sum b_r g_r(alpha), solved by lookup)."""
+    """Precomputed index tables for one field: generator sets per class, and
+    the index equation w = sum b_r g_r(alpha) solved for every w at once, as
+    integer arrays of class labels and coefficient codes."""
 
     def __init__(self, field: GaloisField):
         self.field = field
@@ -147,38 +154,34 @@ class PhaseGeometry:
         self.dim = field.order
         self.num_classes = field.order + 1
         self.generator_sets = [generator_set(field, a) for a in range(self.num_classes)]
+        # gens[alpha, r] = g_r(alpha), shape (p^n + 1, n, 2n)
+        self.gens = frozen(np.array([gs.gens for gs in self.generator_sets], dtype=np.int64))
         # y_table[alpha][j][r] = y_j^{(r)}(alpha), read off the generators
-        self.y_table = {}
-        for alpha in range(self.dim):
-            gs = self.generator_sets[alpha]
-            self.y_table[alpha] = [
-                [gs.gens[r][2 * j + 1] for r in range(self.n)] for j in range(self.n)
-            ]
-        self._subspaces: list[dict[tuple, tuple]] = []
-        self._decomp: dict[tuple, tuple[int, tuple]] = {}
-        self._build_tables()
+        self.y_table = {a: self.gens[a, :, 1::2].T.tolist() for a in range(self.dim)}
+        self._class_of, self._b_code = self._solve_index_equation()
 
-    def _build_tables(self):
-        p, n = self.p, self.n
-        zero = (0,) * (2 * n)
-        for gs in self.generator_sets:
-            pts = subspace_points(gs, p)
-            for b, w in pts.items():
-                if w != zero:
-                    if w in self._decomp:
-                        raise AssertionError("subspaces overlap away from the origin")
-                    self._decomp[w] = (gs.alpha, b)
-            self._subspaces.append(pts)
-        self._decomp[zero] = (0, (0,) * n)
+    def _solve_index_equation(self) -> tuple[np.ndarray, np.ndarray]:
+        """Class label and b-code of every point, in code order; the origin
+        maps to (0, 0). Checks that the classes tile V_{2n}(p)."""
+        codes = index_code(self.p, _span(self.gens, self.p))  # [alpha, b-code]
+        counts = np.bincount(codes.ravel(), minlength=self.dim**2)
+        if counts[0] != self.num_classes or not (counts[1:] == 1).all():
+            raise AssertionError("subspaces overlap away from the origin")
+        class_of = np.zeros(self.dim**2, dtype=np.int64)
+        b_code = np.zeros(self.dim**2, dtype=np.int64)
+        class_of[codes] = np.arange(self.num_classes)[:, None]
+        b_code[codes] = np.arange(self.dim)
+        class_of[0] = b_code[0] = 0
+        return frozen(class_of), frozen(b_code)
 
     def decompose(self, w: Sequence[int]) -> tuple[int, tuple]:
         """Solve w = sum_r b_r g_r(alpha) for (alpha, b); w=0 maps to b=0."""
-        key = tuple(c % self.p for c in w)
-        try:
-            return self._decomp[key]
-        except KeyError:
+        if len(w) != 2 * self.n or any(c != int(c) for c in w):
             raise ValueError(f"{w} is not an index vector of V_{2*self.n}({self.p})")
+        code = index_code(self.p, w)
+        b = np.unravel_index(self._b_code[code], (self.p,) * self.n)
+        return int(self._class_of[code]), tuple(int(c) for c in b)
 
     def subspace_points(self, alpha: int) -> dict[tuple, tuple]:
         """b-tuple -> point of the alpha subspace (coefficients recoverable)."""
-        return dict(self._subspaces[alpha])
+        return subspace_points(self.generator_sets[alpha], self.p)

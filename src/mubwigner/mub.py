@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import is_prime, FieldError
-from .geometry import PhaseGeometry, phase_geometry
+from .geometry import PhaseGeometry, _digits, phase_geometry
 from .spins import PhasedOperator, frozen, index_code, unit_phases
 
 UNBIASED_TOL = 1e-10
@@ -43,17 +43,12 @@ class MubProjector:
         return np.outer(self.vector, self.vector.conj())
 
 
-def _digits(p: int, n: int) -> np.ndarray:
-    """All vectors of V_n(p), shape (p^n, n), in big-endian code order."""
-    return np.indices((p,) * n).reshape(n, -1).T
-
-
 def class_members(geom: PhaseGeometry, alpha: int, with_alpha: bool = True):
     """Index vectors (d, 2n), eta exponents (d,) and -i exponents (d,) of the
     products prod_r S_{g_r}^{b_r} (alpha-corrected with ``with_alpha``), for b
     in big-endian code order; the phases follow PhasedOperator exactly."""
     p = geom.p
-    g = np.array(geom.generator_sets[alpha].gens, dtype=np.int64)  # (n, 2n)
+    g = geom.gens[alpha]  # (n, 2n)
     gx, gy = g[:, 0::2], g[:, 1::2]
     b = _digits(p, geom.n)
     # S_u^m = eta^{binom(m, 2) x_u.y_u} S_{mu}, and S_u S_v = eta^{y_u.x_v} S_{u+v}

@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import phase_geometry
-from .mub import MubProjector, commuting_class, mub_projector
+from .geometry import _digits, phase_geometry
+from .mub import MubProjector, class_members, mub_projector
 from .spins import index_code
 from .wigner import CharTable, WignerTable, random_density, random_pure_density
 
@@ -172,14 +172,12 @@ def wigner_pgm_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:
 
 def _mub_basis_to_json(geom, alpha: int, basis) -> dict:
     label = "inf" if alpha == geom.dim else list(geom.field.from_int(alpha).coeffs)
+    w, e, i_exp = class_members(geom, alpha, with_alpha=False)
     compact = [
-        {
-            "b": list(b),
-            "index": list(op.index),
-            "eta_exp": op.eta_exp,
-            "i_exp": op.i_exp,
-        }
-        for b, op in sorted(commuting_class(geom, alpha).members.items())
+        {"b": b, "index": wb, "eta_exp": eb, "i_exp": ib}
+        for b, wb, eb, ib in zip(
+            _digits(geom.p, geom.n).tolist(), w.tolist(), e.tolist(), i_exp.tolist()
+        )
     ]
     return {
         "alpha": label,

@@ -5,7 +5,9 @@ that the characteristic kernel is G(w) = phi(w) S_w with G(-w) = G(w)^dagger.
 For the generator-route conventions the kernel is the phased product of
 generator powers prod_r (eta^{r_r(alpha)} T_alpha,r)^{b_r} where w decomposes
 as sum_r b_r g_r(alpha) (the index equation) and T are the alpha-corrected
-generator operators. Conventions:
+generator operators. The phases are held as integer exponent arrays,
+phi = eta^eta_exp (-i)^i_exp, built one class at a time with
+mub.class_members. Conventions:
 
   plain      no shifts (r = 0 everywhere); the n=1 textbook choice
   separable  odd p; shifts r_r(alpha) = -2^{-1} sum_{j != r} y_j^{(r)}(alpha)
@@ -27,24 +29,15 @@ every convention.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fields import FieldError, is_prime, prime_inverse
-from .geometry import PhaseGeometry, phase_geometry
-from .mub import class_vectors
-from .spins import (
-    PhasedOperator,
-    frozen,
-    index_code,
-    phased_spin,
-    spin_basis,
-    spin_decompose,
-    unit_phases,
-)
+from .geometry import PhaseGeometry, _digits, phase_geometry
+from .mub import class_members, class_vectors
+from .spins import frozen, index_code, spin_basis, spin_decompose, unit_phases
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
 ZERO_TOL = 1e-10
@@ -94,10 +87,8 @@ class WignerKernel:
         self.vectors = self.basis.vectors  # (N, 2n) in code order
         self.N = len(self.vectors)
         self.shifts = self._shift_table()
-        self.ops = self._kernel_ops()
-        self.phases = frozen(unit_phases(
-            p, [op.eta_exp for op in self.ops], [op.i_exp for op in self.ops]
-        ))
+        self.eta_exp, self.i_exp = map(frozen, self._exponents())
+        self.phases = frozen(unit_phases(p, self.eta_exp, self.i_exp))
         self._neg_perm = frozen(index_code(p, -self.vectors))
         self._axes = (tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2)))  # x, y
         self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
@@ -106,69 +97,48 @@ class WignerKernel:
 
     # -- construction ---------------------------------------------------------
 
-    def _shift_table(self) -> Optional[list[tuple[int, ...]]]:
-        p, n = self.p, self.n
-        geom = self.geom
+    def _shift_table(self) -> Optional[np.ndarray]:
+        """shifts[alpha, r] = r_r(alpha), shape (p^n + 1, n)."""
+        p, n, d = self.p, self.n, self.dim
         conv = self.convention
-        if conv == "plain":
-            return [(0,) * n for _ in range(geom.num_classes)]
+        shifts = np.zeros((d + 1, n), dtype=np.int64)
+        # y[alpha, r, j] = y_j^{(r)}(alpha) of the non-vertical classes
+        y = self.geom.gens[:d, :, 1::2]
         if conv == "separable":
             inv2 = prime_inverse(2, p)
-            out = []
-            for alpha in range(geom.dim):
-                y = geom.y_table[alpha]
-                out.append(
-                    tuple((-inv2 * sum(y[j][r] for j in range(n) if j != r)) % p for r in range(n))
-                )
-            out.append(((-inv2) % p,) * n)
-            return out
-        if conv in ("p2-left", "p2-right"):
-            out = []
-            for alpha in range(geom.dim):
-                a0, a1 = geom.field.from_int(alpha).coeffs
-                out.append((0, a0) if conv == "p2-left" else (a1, 0))
-            out.append((0, 0))
-            return out
-        if conv == "dynamics":
+            shifts[:d] = -inv2 * (y.sum(axis=2) - np.diagonal(y, axis1=1, axis2=2))
+            shifts[d] = -inv2
+        elif conv == "p2-left":  # (0, a_0) for alpha = a_0 + 2 a_1
+            shifts[:d, 1] = np.arange(d) % 2
+        elif conv == "p2-right":  # (a_1, 0)
+            shifts[:d, 0] = np.arange(d) // 2
+        elif conv == "dynamics":
             if p == 2:
                 # the closed-form kernel is not a generator-power product for
                 # n >= 2, so no shift table exists there
-                return [(0,) * n for _ in range(geom.num_classes)] if n == 1 else None
-            inv2 = prime_inverse(2, p)
-            out = []
-            for alpha in range(geom.dim):
-                y = geom.y_table[alpha]
-                out.append(tuple((inv2 * y[r][r]) % p for r in range(n)))
-            out.append((0,) * n)
-            return out
-        raise ConventionError(conv)
+                return frozen(shifts) if n == 1 else None
+            shifts[:d] = prime_inverse(2, p) * np.diagonal(y, axis1=1, axis2=2)
+        return frozen(shifts % p)
 
-    def _kernel_ops(self) -> list[PhasedOperator]:
+    def _exponents(self) -> tuple[np.ndarray, np.ndarray]:
+        """eta and -i exponents of every kernel operator, in code order."""
         p, n = self.p, self.n
         if self.convention == "dynamics":
-            inv2 = prime_inverse(2, p) if p % 2 else 0
-            ww = (self.vectors[:, 0::2] * self.vectors[:, 1::2]).sum(axis=1).tolist()
-            vecs = map(tuple, self.vectors.tolist())
+            ww = (self.vectors[:, 0::2] * self.vectors[:, 1::2]).sum(axis=1)
             if p == 2:
-                return [PhasedOperator(p, n, w, 0, e) for w, e in zip(vecs, ww)]
-            return [PhasedOperator(p, n, w, inv2 * e, 0) for w, e in zip(vecs, ww)]
-        assert self.shifts is not None
-        identity = PhasedOperator(p, n, (0,) * (2 * n))
-        found = []
+                return np.zeros_like(ww), ww % 4
+            return (prime_inverse(2, p) * ww) % p, np.zeros_like(ww)
+        # the classes tile V_{2n}(p) and meet only at the origin, where every
+        # class puts the identity; scatter each class into its code positions
+        b = _digits(p, n)
+        eta_exp = np.zeros(self.N, dtype=np.int64)
+        i_exp = np.zeros(self.N, dtype=np.int64)
         for alpha in range(self.geom.num_classes):
-            gens = [phased_spin(p, g, with_alpha=True) for g in self.geom.generator_sets[alpha].gens]
-            shifts = self.shifts[alpha]
-            for b in itertools.product(range(p), repeat=n):
-                acc = identity
-                phase = 0
-                for r, br in enumerate(b):
-                    acc = acc @ gens[r].power(br)
-                    phase += shifts[r] * br
-                found.append(PhasedOperator(p, n, acc.index, acc.eta_exp + phase, acc.i_exp))
-        # the classes meet only at the origin; keep the first operator per code
-        codes, first = np.unique(index_code(p, [op.index for op in found]), return_index=True)
-        assert len(codes) == self.N
-        return [found[i] for i in first]
+            w, e, i = class_members(self.geom, alpha)
+            codes = index_code(p, w)
+            eta_exp[codes] = (e + b @ self.shifts[alpha]) % p
+            i_exp[codes] = i
+        return eta_exp, i_exp
 
     # -- derived tables ---------------------------------------------------------
 
@@ -183,11 +153,11 @@ class WignerKernel:
         if not 0 <= alpha <= self.geom.dim:
             raise ValueError(f"class label {alpha} out of range")
         if alpha not in self._gen_outcomes:
-            gens = np.array(self.geom.generator_sets[alpha].gens)
+            gens = self.geom.gens[alpha]
             X, Y = self.vectors[:, 0::2], self.vectors[:, 1::2]
             gX, gY = gens[:, 0::2], gens[:, 1::2]
-            symp = (Y @ gX.T - X @ gY.T) % self.p  # [u, j] = u o g_j(alpha)
-            shifted = (symp + np.array(self.shifts[alpha])[None, :]) % self.p
+            symp = Y @ gX.T - X @ gY.T  # [u, j] = u o g_j(alpha)
+            shifted = (symp + self.shifts[alpha]) % self.p
             # little-endian outcome code sum_j s_j p^j
             self._gen_outcomes[alpha] = frozen(shifted @ self.p ** np.arange(self.n))
         return self._gen_outcomes[alpha]

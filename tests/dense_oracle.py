@@ -8,9 +8,51 @@ product of powers of dense generator matrices. Memory grows as d^4, so keep
 them to d <= 27.
 """
 
+import itertools
+
 import numpy as np
 
-from mubwigner.spins import PhasedOperator, eta, phased_spin
+from mubwigner.fields import prime_inverse
+from mubwigner.spins import PhasedOperator, eta, index_code, phased_spin
+
+
+def kernel_ops(kernel):
+    """Every kernel operator as a PhasedOperator, in code order: the dynamics
+    closed form, or for the generator route the products prod_r (eta^{r_r}
+    T_r)^{b_r} over every class, taking the first operator for each code."""
+    p, n = kernel.p, kernel.n
+    if kernel.convention == "dynamics":
+        inv2 = prime_inverse(2, p) if p % 2 else 0
+        ww = (kernel.vectors[:, 0::2] * kernel.vectors[:, 1::2]).sum(axis=1).tolist()
+        vecs = map(tuple, kernel.vectors.tolist())
+        if p == 2:
+            return [PhasedOperator(p, n, w, 0, e) for w, e in zip(vecs, ww)]
+        return [PhasedOperator(p, n, w, inv2 * e, 0) for w, e in zip(vecs, ww)]
+    geom = kernel.geom
+    identity = PhasedOperator(p, n, (0,) * (2 * n))
+    found = []
+    for alpha in range(geom.num_classes):
+        gens = class_generator_ops(geom, alpha)
+        shifts = kernel.shifts[alpha].tolist()
+        for b in itertools.product(range(p), repeat=n):
+            acc = identity
+            phase = 0
+            for r, br in enumerate(b):
+                acc = acc @ gens[r].power(br)
+                phase += shifts[r] * br
+            found.append(PhasedOperator(p, n, acc.index, acc.eta_exp + phase, acc.i_exp))
+    codes, first = np.unique(index_code(p, [op.index for op in found]), return_index=True)
+    assert len(codes) == kernel.N
+    return [found[i] for i in first]
+
+
+def kernel_op(kernel, i):
+    """Kernel operator i (code order) as a PhasedOperator, read from the
+    kernel's exponent arrays."""
+    return PhasedOperator(
+        kernel.p, kernel.n, tuple(kernel.vectors[i].tolist()),
+        int(kernel.eta_exp[i]), int(kernel.i_exp[i]),
+    )
 
 
 def spin_stack(p, n, vectors):

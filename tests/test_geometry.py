@@ -200,7 +200,7 @@ def test_v2_3_line_example():
     assert got == {(0, 0), (1, 1), (2, 2)}
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (3, 3), (5, 2), (2, 4)])
 def test_subspace_points_and_decomposition(p, n):
     geom = phase_geometry(p, n)
     origin = (0,) * (2 * n)
@@ -224,6 +224,14 @@ def test_decompose_rejects_bad_input():
     geom = phase_geometry(3, 1)
     with pytest.raises(ValueError):
         geom.decompose((1, 2, 3))
+
+
+def test_decompose_rejects_non_integer_entries():
+    geom = phase_geometry(3, 1)
+    assert geom.decompose((1.0, 2)) == geom.decompose((1, 2))
+    for w in [(1.5, 2), (float("nan"), 0)]:
+        with pytest.raises(ValueError):
+            geom.decompose(w)
 
 
 def test_subspace_points_free_function():

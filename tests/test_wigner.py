@@ -6,12 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SIGMA, random_hermitian
-from dense_oracle import DenseKernel, ft_matrix, spin_stack
+from dense_oracle import DenseKernel, ft_matrix, kernel_op, kernel_ops, spin_stack
 from mubwigner.fields import prime_inverse
 from mubwigner.geometry import phase_geometry
 from mubwigner.mub import mub_projector
-from mubwigner.spins import eta, spin_matrix, spin_projector, tensor_spin
+from mubwigner.spins import (
+    PhasedOperator,
+    eta,
+    spin_matrix,
+    spin_projector,
+    tensor_spin,
+    unit_phases,
+)
 from mubwigner.wigner import (
+    CONVENTIONS,
     CharTable,
     ConventionError,
     a_operator,
@@ -202,7 +210,7 @@ def test_char_table_invariants(p, n, conv, rng):
     assert np.abs(chi.values[k._neg_perm] - np.conj(chi.values)).max() < TOL
     # each kernel operator is the phased spin matrix it claims to be
     for i in np.random.default_rng(1).choice(k.N, size=min(12, k.N), replace=False):
-        op = k.ops[i]
+        op = kernel_op(k, i)
         got = np.trace(rho @ op.matrix())
         assert abs(got - chi.values[i]) < 1e-9
 
@@ -297,6 +305,39 @@ def test_matrix_free_transforms_match_dense_oracle(p, n, conv, rng):
     assert np.abs(reconstruct_density(wt) - dense.reconstruct_density(wt.values)).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "p,n,conv", ORACLE_CASES + [(7, 2, "plain"), (7, 2, "separable"), (7, 2, "dynamics")]
+)
+def test_kernel_exponents_match_generator_route(p, n, conv):
+    k = wigner_kernel(p, n, conv)
+    ops = kernel_ops(k)
+    assert [op.index for op in ops] == [tuple(w) for w in k.vectors.tolist()]
+    eta_exp = np.array([op.eta_exp for op in ops])
+    i_exp = np.array([op.i_exp for op in ops])
+    assert np.array_equal(k.eta_exp % p, eta_exp)
+    assert np.array_equal(k.i_exp % 4, i_exp)
+    assert np.array_equal(k.phases, unit_phases(p, eta_exp, i_exp))
+
+
+def test_kernel_and_geometry_build_no_phased_operator(monkeypatch):
+    def refuse(self):
+        raise AssertionError("PhasedOperator built")
+
+    monkeypatch.setattr(PhasedOperator, "__post_init__", refuse)
+    phase_geometry.cache_clear()
+    wigner_kernel.cache_clear()
+    for p, n in [(2, 2), (3, 2), (3, 3)]:
+        phase_geometry(p, n)
+        for conv in CONVENTIONS:
+            try:
+                k = wigner_kernel(p, n, conv)
+            except ConventionError:
+                continue
+            assert k.N == p ** (2 * n)
+    phase_geometry.cache_clear()
+    wigner_kernel.cache_clear()
+
+
 def _assert_read_only(a):
     assert not a.flags.writeable
     with pytest.raises(ValueError):
@@ -306,7 +347,8 @@ def _assert_read_only(a):
 @pytest.mark.parametrize("p,n,conv", [(3, 1, "plain"), (2, 2, "p2-left"), (3, 2, "separable")])
 def test_cached_arrays_are_read_only(p, n, conv):
     k = wigner_kernel(p, n, conv)
-    for a in (k.basis.vectors, k.basis._diag, k.phases, k._neg_perm,
+    for a in (k.basis.vectors, k.basis._diag, k.phases, k.eta_exp, k.i_exp, k.shifts,
+              k.geom.gens, k.geom._class_of, k.geom._b_code, k._neg_perm,
               k.gen_outcome_codes(0), k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv)):
         _assert_read_only(a)
 
@@ -538,9 +580,9 @@ def test_density_table_properties_hold_for_any_state(data):
     assert np.abs(reconstruct_density(wt) - rho).max() < TOL
 
 
-@pytest.mark.parametrize("p,n", [(3, 4), (11, 2)])
+@pytest.mark.parametrize("p,n", [(3, 4), (11, 2), (3, 5)])
 def test_invariants_beyond_dense_reach(p, n, rng):
-    # d = 81 and d = 121: the dense N x d^2 tables would need GBs here
+    # d = 81, 121 and 243: the dense N x d^2 tables would need GBs here
     d = p**n
     conv = default_convention(p, n)
     rho = random_density(d, rng)
