@@ -257,7 +257,8 @@ def cmd_evolve(args) -> int:
     times = np.linspace(args.t0, args.t1, args.steps)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    purity0 = float(np.trace(rho @ rho).real)
+    # tr(A^2) = sum_ij A_ij A_ji, O(d^2) without a matrix product
+    purity0 = float(np.sum(rho * rho.T).real)
     trace_drifts, purity_drifts = [], []
     with open(out, "w") as fh:
         for t in times:
@@ -265,7 +266,7 @@ def cmd_evolve(args) -> int:
             rhot = density_from_dynamics_char(chit)
             fh.write(json.dumps(trajectory_record(float(t), chit, rhot)) + "\n")
             trace_drifts.append(abs(float(np.trace(rhot).real) - 1.0))
-            purity_drifts.append(abs(float(np.trace(rhot @ rhot).real) - purity0))
+            purity_drifts.append(abs(float(np.sum(rhot * rhot.T).real) - purity0))
     # np.max keeps a NaN drift, which the builtin max would drop
     trace_drift = float(np.max(trace_drifts))
     purity_drift = float(np.max(purity_drifts))
@@ -303,6 +304,10 @@ def main(argv=None) -> int:
         raise ValueError(f"unknown command {args.command!r}")
     except (FieldError, ConventionError, UnsupportedDynamicsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # last resort: a request too large for this machine is a usage error
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 2
 
 

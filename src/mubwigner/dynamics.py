@@ -4,11 +4,15 @@ The characteristic kernels K_w of the dynamics convention close under
 commutation, [K_w, K_v] = c(w,v) K_{w+v} with exact unit-modulus structure
 constants, so the von Neumann equation drho/dt = -i[H, rho] becomes a linear
 system dchi(w)/dt = -i sum_u L(w,u) chi(u) with L Hermitian and
-L chi_rho = chi_{[H, rho]}: evolution is exp(-iLt) on the table vector,
-solved in closed form by eigendecomposition.
-The eigendecomposition L = V diag(lambda) V^dagger is paid once, O(N^3) with
-N = p^{2n}, and cached; each time point then costs two O(N^2) mat-vecs,
-V (e^{-i lambda t} * (V^dagger chi)), and no N x N propagator is formed.
+L chi_rho = chi_{[H, rho]}: evolution is exp(-iLt) on the table vector.
+That flow is unitary covariance, exp(-iLt) chi_rho = chi_{U rho U^dagger}
+with U = e^{-iHt}, so evolve() never forms L. It recovers rho from the
+table, evolves it in the eigenbasis of the d x d Hamiltonian,
+H = Q diag(lambda) Q^dagger (paid once and cached, O(d^3)), and takes the
+table of rho(t) with the spin-trace transform: O(d^3) per time point, where
+an eigendecomposition of L would cost O(N^3) = O(d^6), N = p^{2n}.
+GeneratorMatrix.matrix still builds the N x N L, the paper's explicit
+object, on first read; the tests use exp(-iLt) as the oracle for evolve().
 For odd primes the same dynamics transfers to Wigner tables through the
 symplectic transform, with generator
 
@@ -34,6 +38,7 @@ from .wigner import (
     WignerTable,
     char_function,
     density_from_char,
+    reconstruct_density,
     wigner_kernel,
 )
 
@@ -44,38 +49,48 @@ class UnsupportedDynamicsError(ValueError):
     """Requested (p, n) combination has no generator construction."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """L with its cached eigendecomposition; both are read-only."""
+    """A Hamiltonian with its cached eigendecomposition and, built on first
+    read, the N x N generator L of its table flow; all are read-only."""
 
     kind: str  # "char" | "wigner"
     p: int
     n: int
-    matrix: np.ndarray
-    _eig: Optional[tuple] = field(default=None, repr=False)
+    hamiltonian: np.ndarray
+    _eig: Optional[tuple] = field(default=None, init=False, repr=False)
+    _matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        frozen(self.matrix)
+        H = frozen(np.array(self.hamiltonian, dtype=complex))
+        object.__setattr__(self, "hamiltonian", H)
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda, Q) with H = Q diag(lambda) Q^dagger."""
         if self._eig is None:
-            dev = np.abs(self.matrix - self.matrix.conj().T).max()
-            # relative to the scale of L, which grows with that of H
-            tol = HERMITICITY_TOL * max(1.0, np.abs(self.matrix).max())
+            H = self.hamiltonian
+            dev = np.abs(H - H.conj().T).max()
+            # relative to the scale of H
+            tol = HERMITICITY_TOL * max(1.0, np.abs(H).max())
             if not dev <= tol:  # a NaN defect fails too
                 raise ValueError(f"generator is not Hermitian (defect {dev})")
-            lam, V = np.linalg.eigh(self.matrix)
-            self._eig = (frozen(lam), frozen(V))
+            lam, Q = np.linalg.eigh(H)
+            object.__setattr__(self, "_eig", (frozen(lam), frozen(Q)))
         return self._eig
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """L with dchi/dt = -i L chi, N x N with N = p^{2n}: O(N^2) memory."""
+        if self._matrix is None:
+            build = _char_matrix if self.kind == "char" else _wigner_matrix
+            L = build(self.hamiltonian, self.p, self.n)
+            object.__setattr__(self, "_matrix", frozen(L))
+        return self._matrix
 
-def _check_supported(p: int, n: int) -> None:
+
+def _check_supported(p: int) -> None:
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-    if n not in (1, 2):
-        raise UnsupportedDynamicsError(
-            f"dynamics generators are only constructed for n in (1, 2), got n={n}"
-        )
 
 
 def _hermitian_check(H: np.ndarray, d: int) -> np.ndarray:
@@ -98,13 +113,7 @@ def _structure_phases(kernel) -> np.ndarray:
     )
 
 
-def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
-    """Hermitian L with dchi_rho(w)/dt = -i sum_u L(w,u) chi_rho(u) for the von
-    Neumann flow; evolve() applies exp(-iLt) so that tables follow
-    rho(t) = e^{-iHt} rho e^{+iHt} exactly."""
-    _check_supported(p, n)
-    d = p**n
-    H = _hermitian_check(H, d)
+def _char_matrix(H: np.ndarray, p: int, n: int) -> np.ndarray:
     kernel = wigner_kernel(p, n, "dynamics")
     chiH = kernel.char_values(H)
     N = kernel.N
@@ -115,20 +124,10 @@ def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     rows = np.arange(N)[:, None]
     vcode = diff.T
     bracket = phi[rows, vcode] - phi[vcode, rows]
-    L = chiH[diff] * bracket / d
-    return GeneratorMatrix("char", p, n, L)
+    return chiH[diff] * bracket / p**n
 
 
-def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
-    """Wigner-space mate of the characteristic generator; odd p only."""
-    _check_supported(p, n)
-    if p == 2:
-        raise UnsupportedDynamicsError(
-            "no Wigner-space generator exists for p=2; evolve the "
-            "characteristic table instead"
-        )
-    d = p**n
-    H = _hermitian_check(H, d)
+def _wigner_matrix(H: np.ndarray, p: int, n: int) -> np.ndarray:
     kernel = wigner_kernel(p, n, "dynamics")
     chiH = kernel.char_values(H)
     vec = kernel.vectors
@@ -137,12 +136,31 @@ def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     w = eta(p)
     X, Y = vec[:, 0::2], vec[:, 1::2]
     voy = (Y @ X.T - X @ Y.T) % p  # [v, y] = v o y mod p
-    L = (w ** ((2 * voy) % p) * chiH[diff2] - w ** ((2 * voy.T) % p) * chiH[diff2.T]) / d
-    return GeneratorMatrix("wigner", p, n, L)
+    return (w ** ((2 * voy) % p) * chiH[diff2] - w ** ((2 * voy.T) % p) * chiH[diff2.T]) / p**n
+
+
+def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
+    """Hermitian L with dchi_rho(w)/dt = -i sum_u L(w,u) chi_rho(u) for the von
+    Neumann flow, built only when .matrix is read; evolve() applies exp(-iLt)
+    so that tables follow rho(t) = e^{-iHt} rho e^{+iHt} exactly."""
+    _check_supported(p)
+    return GeneratorMatrix("char", p, n, _hermitian_check(H, p**n))
+
+
+def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
+    """Wigner-space mate of the characteristic generator; odd p only."""
+    _check_supported(p)
+    if p == 2:
+        raise UnsupportedDynamicsError(
+            "no Wigner-space generator exists for p=2; evolve the "
+            "characteristic table instead"
+        )
+    return GeneratorMatrix("wigner", p, n, _hermitian_check(H, p**n))
 
 
 def evolve(state, gen: GeneratorMatrix, t: float):
-    """Propagate a dynamics-convention table to time t (closed form)."""
+    """Propagate a dynamics-convention table to time t: exp(-iLt) applied as
+    the table of U rho U^dagger, U = e^{-iHt}."""
     if isinstance(state, CharTable):
         if gen.kind != "char":
             raise ValueError("characteristic tables evolve under a char-space generator")
@@ -157,10 +175,14 @@ def evolve(state, gen: GeneratorMatrix, t: float):
         raise ValueError("state and generator shapes differ")
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    lam, V = gen.eig()
-    # V^dagger x as conj(x^* V): V.conj() would copy an N x N array
-    coeffs = (state.values.conj() @ V).conj()
-    values = V @ (np.exp(-1j * lam * t) * coeffs)
+    lam, Q = gen.eig()
+    wigner = isinstance(state, WignerTable)
+    rho = reconstruct_density(state) if wigner else density_from_char(state)
+    ph = np.exp(-1j * lam * t)
+    rho_t = Q @ (ph[:, None] * (Q.conj().T @ rho @ Q) * ph.conj()) @ Q.conj().T
+    values = state.kernel.char_values(rho_t)
+    if wigner:
+        values = state.kernel.symplectic_ft(values)
     return type(state)(state.p, state.n, state.convention, values)
 
 

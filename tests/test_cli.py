@@ -316,6 +316,23 @@ def test_cli_evolve_rejects_bad_times_before_building(tmp_path, monkeypatch, fla
     assert not out.exists()
 
 
+def test_cli_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    import mubwigner.cli as cli
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 6.21 TiB")
+
+    monkeypatch.setattr(cli, "build_char_generator", too_large)
+    state = write_json(tmp_path / "s.json", {"alpha": [1], "s": [0]})
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(np.eye(3)))
+    argv = ["evolve", "--p", "3", "--n", "1", "--input", state, "--hamiltonian", hfile,
+            "--out", str(tmp_path / "t.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory (Unable to allocate 6.21 TiB)" in err
+    assert "Traceback" not in err
+
+
 def test_cli_evolve_constant_under_zero_hamiltonian(tmp_path, rng):
     rho = random_density(3, rng)
     state = write_json(tmp_path / "s.json", matrix_to_json(rho))

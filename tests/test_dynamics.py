@@ -36,8 +36,12 @@ CHAR_CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 WIGNER_CASES = [(3, 1), (5, 1), (3, 2)]
 
 
-# every (p, n) with d <= 25 and n <= 2
-HILBERT_CASES = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)] + [(2, 2), (3, 2), (5, 2)]
+# every (p, n) with d <= 27, n = 3 and 4 included
+ORACLE_CASES = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)] + [
+    (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)
+]
+# beyond the reach of the N x N oracle: d = 81 and 64
+HILBERT_CASES = ORACLE_CASES + [(3, 4), (2, 6)]
 
 
 def direct_evolution(H, rho, t):
@@ -259,8 +263,12 @@ def test_bridge_requires_dynamics_convention(rng):
 
 
 def test_unsupported_combinations(rng):
-    with pytest.raises(UnsupportedDynamicsError):
-        build_char_generator(np.eye(8), 2, 3)
+    # n >= 3 builds and evolves; only the Wigner route at p=2 and a
+    # non-Hermitian H are refused
+    H, rho = random_hermitian(8, rng), random_density(8, rng)
+    gen = build_char_generator(H, 2, 3)
+    got = density_from_dynamics_char(evolve(char_dynamics_table(rho, 2, 3), gen, 0.4))
+    assert np.abs(got - direct_evolution(H, rho, 0.4)).max() < EVOLVE_TOL
     with pytest.raises(UnsupportedDynamicsError):
         build_wigner_generator(np.eye(2), 2, 1)
     with pytest.raises(ValueError):
@@ -351,13 +359,33 @@ def test_evolve_rejects_non_finite_time(rng):
 def test_evolve_allocates_no_n_by_n_array():
     # one N x N complex array at (5, 2) is N^2 * 16 bytes = 6.25 MB
     rng = np.random.default_rng(9)
-    gen = build_char_generator(random_hermitian(25, rng), 5, 2)
+    H = random_hermitian(25, rng)
     chi0 = char_dynamics_table(random_density(25, rng), 5, 2)
-    gen.eig()
-    tracemalloc.start()
-    try:
-        evolve(chi0, gen, 1.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    routes = [(build_char_generator, chi0), (build_wigner_generator, wigner_from_char(chi0))]
+    for build, state in routes:
+        tracemalloc.start()
+        try:
+            gen = build(H, 5, 2)
+            gen.eig()
+            evolve(state, gen, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert gen._matrix is None
+
+
+@pytest.mark.parametrize("p,n", ORACLE_CASES)
+def test_evolve_matches_generator_exponential(p, n):
+    # exp(-iLt) of the explicit N x N generator is the reference for evolve
+    rng = np.random.default_rng([p, n, 1])
+    d = p**n
+    H = random_hermitian(d, rng)
+    chi0 = char_dynamics_table(random_density(d, rng), p, n)
+    t = 0.9
+    tables = [(build_char_generator(H, p, n), chi0)]
+    if p % 2:
+        tables.append((build_wigner_generator(H, p, n), wigner_from_char(chi0)))
+    for gen, table in tables:
+        want = expm(-1j * gen.matrix * t) @ table.values
+        assert np.abs(evolve(table, gen, t).values - want).max() < TOL
