@@ -18,15 +18,10 @@ from .fields import (
     smallest_nonresidue,
 )
 from .geometry import (
-    GeneratorSet,
     PhaseGeometry,
     all_lines,
-    generating_vectors,
-    generator_set,
     line_points,
-    m_map,
     phase_geometry,
-    subspace_points,
     symplectic,
     vector_symplectic,
 )
@@ -45,11 +40,9 @@ from .spins import (
     tensor_spin,
 )
 from .mub import (
-    CommutingClass,
     MubProjector,
     MubReport,
     class_vectors,
-    commuting_class,
     full_mub,
     mub_projector,
     verify_mub,

@@ -8,13 +8,17 @@ orthogonal pairs, which is what lets tensor products of small spin matrices
 stand in for the Galois-indexed ones.
 
 Class labels alpha run over 0..p^n; labels below p^n encode field elements
-(little-endian base-p digits); the label p^n is the vertical class.
+(little-endian base-p digits a_k); the label p^n is the vertical class. M is
+linear, and so are the generators g_r(alpha) = M(lambda^r (1, alpha)) in the
+digits of alpha: the x half is lambda^r, that is e_r, and the y half is
+y_j = tr(lambda^{j+r} alpha) = sum_k a_k T[j+r+k], a product with the Hankel
+tensor of the Newton power sums T[k] = tr(lambda^k). All p^n + 1 classes are
+one integer product; no field element is multiplied.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,66 +46,15 @@ def vector_symplectic(u: Sequence[int], v: Sequence[int], p: int) -> int:
     return acc % p
 
 
-def generating_vectors(field: GaloisField) -> list[tuple[FieldElement, FieldElement]]:
-    """The p^n + 1 class representatives u_alpha = (1, alpha), then (0, 1)."""
-    out = [(field.one, field.from_int(a)) for a in range(field.order)]
-    out.append((field.zero, field.one))
-    return out
-
-
-def m_map(field: GaloisField, point: Sequence[FieldElement]) -> tuple[int, ...]:
-    """Expand (x, y) as sum x^(j) e_j + y^(j) f_j and interleave coordinates.
-
-    e_j = lambda^j (1,0) so x^(j) is just the j-th coefficient of x; the dual
-    basis gives y^(j) = tr(lambda^j y).
-    """
-    x, y = point
-    if x.field != field or y.field != field:
-        raise FieldError("field mismatch")
-    out = []
-    for j in range(field.n):
-        out.append(x.coeffs[j])
-        out.append(field.trace(field.lam**j * y) if field.n > 1 else field.trace(y))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Generators g_0(alpha)..g_{n-1}(alpha) of one isotropic subspace."""
-
-    alpha: int
-    gens: tuple[tuple[int, ...], ...]
-
-    def to_json(self, field: GaloisField) -> dict:
-        label = "inf" if self.alpha == field.order else list(field.from_int(self.alpha).coeffs)
-        return {"alpha": label, "gens": [list(g) for g in self.gens]}
-
-
-def generator_set(field: GaloisField, alpha: int) -> GeneratorSet:
-    """g_r(alpha) = M(lambda^r u_alpha); the vertical class uses the dual basis,
-    so its blocks are simply (0, delta(j,r))."""
-    n = field.n
-    if alpha == field.order:
-        gens = []
-        for r in range(n):
-            g = [0] * (2 * n)
-            g[2 * r + 1] = 1
-            gens.append(tuple(g))
-        return GeneratorSet(alpha, tuple(gens))
-    if not 0 <= alpha < field.order:
-        raise ValueError(f"invalid class label {alpha}")
-    a = field.from_int(alpha)
-    lam = field.lam if n > 1 else field.one
-    gens = []
-    for r in range(n):
-        point = (lam**r, lam**r * a) if n > 1 else (field.one, a)
-        gens.append(m_map(field, point))
-    return GeneratorSet(alpha, tuple(gens))
-
-
 def _digits(p: int, n: int) -> np.ndarray:
     """All vectors of V_n(p), shape (p^n, n), in big-endian code order."""
     return np.indices((p,) * n).reshape(n, -1).T
+
+
+def _reversal(p: int, n: int) -> np.ndarray:
+    """Entry c is the little-endian code of the vector whose big-endian code
+    is c, and the other way round: digit reversal is its own inverse."""
+    return np.arange(p**n).reshape((p,) * n).T.ravel()
 
 
 def _span(gens, p: int) -> np.ndarray:
@@ -109,13 +62,6 @@ def _span(gens, p: int) -> np.ndarray:
     (p^n, 2n) for one generator set (n, 2n), (..., p^n, 2n) for a stack."""
     g = np.asarray(gens, dtype=np.int64)
     return (_digits(p, g.shape[-2]) @ g) % p
-
-
-def subspace_points(gs: GeneratorSet, p: int) -> dict[tuple, tuple]:
-    """The p^n points spanned by a generator set, keyed by their coefficient
-    tuples (so solving w = sum_r b_r g_r(alpha) is a reverse lookup)."""
-    b = _digits(p, len(gs.gens)).tolist()
-    return dict(zip(map(tuple, b), map(tuple, _span(gs.gens, p).tolist())))
 
 
 def line_points(
@@ -143,9 +89,9 @@ def phase_geometry(p: int, n: int, poly: tuple | None = None) -> "PhaseGeometry"
 
 
 class PhaseGeometry:
-    """Precomputed index tables for one field: generator sets per class, and
-    the index equation w = sum b_r g_r(alpha) solved for every w at once, as
-    integer arrays of class labels and coefficient codes."""
+    """Precomputed index tables for one field: the generators of every class,
+    and the index equation w = sum b_r g_r(alpha) solved for every w at once,
+    as integer arrays of point codes, class labels and coefficient codes."""
 
     def __init__(self, field: GaloisField):
         self.field = field
@@ -153,26 +99,45 @@ class PhaseGeometry:
         self.n = field.n
         self.dim = field.order
         self.num_classes = field.order + 1
-        self.generator_sets = [generator_set(field, a) for a in range(self.num_classes)]
         # gens[alpha, r] = g_r(alpha), shape (p^n + 1, n, 2n)
-        self.gens = frozen(np.array([gs.gens for gs in self.generator_sets], dtype=np.int64))
-        # y_table[alpha][j][r] = y_j^{(r)}(alpha), read off the generators
-        self.y_table = {a: self.gens[a, :, 1::2].T.tolist() for a in range(self.dim)}
+        self.gens = frozen(self._hankel_generators())
+        # codes[alpha, b] = code of sum_r b_r g_r(alpha), b in big-endian code order
+        self.codes = frozen(index_code(self.p, _span(self.gens, self.p)))
         self._class_of, self._b_code = self._solve_index_equation()
+
+    def _hankel_generators(self) -> np.ndarray:
+        """Below p^n, gx = I_n and gy[alpha, r, j] = sum_k a_k T[j+r+k] with a
+        the little-endian digits of alpha; the vertical class has gx = 0 and
+        gy = I_n."""
+        p, n, d = self.p, self.n, self.dim
+        T = np.array([self.field.trace_power(k) for k in range(3 * n - 2)], dtype=np.int64)
+        j = np.arange(n)
+        hankel = T[j[:, None, None] + j[:, None] + j]  # [r, j, k] = T[r+j+k]
+        eye = np.eye(n, dtype=np.int64)
+        gens = np.zeros((d + 1, n, 2 * n), dtype=np.int64)
+        gens[:d, :, 0::2] = eye
+        gens[:d, :, 1::2] = np.tensordot(_digits(p, n)[:, ::-1], hankel, axes=(1, 2)) % p
+        gens[d, :, 1::2] = eye
+        return gens
 
     def _solve_index_equation(self) -> tuple[np.ndarray, np.ndarray]:
         """Class label and b-code of every point, in code order; the origin
         maps to (0, 0). Checks that the classes tile V_{2n}(p)."""
-        codes = index_code(self.p, _span(self.gens, self.p))  # [alpha, b-code]
-        counts = np.bincount(codes.ravel(), minlength=self.dim**2)
+        counts = np.bincount(self.codes.ravel(), minlength=self.dim**2)
         if counts[0] != self.num_classes or not (counts[1:] == 1).all():
             raise AssertionError("subspaces overlap away from the origin")
         class_of = np.zeros(self.dim**2, dtype=np.int64)
         b_code = np.zeros(self.dim**2, dtype=np.int64)
-        class_of[codes] = np.arange(self.num_classes)[:, None]
-        b_code[codes] = np.arange(self.dim)
+        class_of[self.codes] = np.arange(self.num_classes)[:, None]
+        b_code[self.codes] = np.arange(self.dim)
         class_of[0] = b_code[0] = 0
         return frozen(class_of), frozen(b_code)
+
+    def generators(self, alpha: int) -> np.ndarray:
+        """g_0(alpha)..g_{n-1}(alpha), shape (n, 2n); rejects bad labels."""
+        if not isinstance(alpha, (int, np.integer)) or not 0 <= alpha <= self.dim:
+            raise ValueError(f"invalid class label {alpha!r}")
+        return self.gens[alpha]
 
     def decompose(self, w: Sequence[int]) -> tuple[int, tuple]:
         """Solve w = sum_r b_r g_r(alpha) for (alpha, b); w=0 maps to b=0."""
@@ -184,4 +149,6 @@ class PhaseGeometry:
 
     def subspace_points(self, alpha: int) -> dict[tuple, tuple]:
         """b-tuple -> point of the alpha subspace (coefficients recoverable)."""
-        return subspace_points(self.generator_sets[alpha], self.p)
+        b = _digits(self.p, self.n).tolist()
+        points = _span(self.generators(alpha), self.p).tolist()
+        return dict(zip(map(tuple, b), map(tuple, points)))

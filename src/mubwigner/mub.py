@@ -18,16 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import is_prime, FieldError
-from .geometry import PhaseGeometry, _digits, phase_geometry
-from .spins import PhasedOperator, frozen, index_code, unit_phases
+from .geometry import PhaseGeometry, _digits, _span, phase_geometry
+from .spins import frozen, index_code, unit_phases
 
 UNBIASED_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CommutingClass:
-    alpha: int
-    members: dict  # b-tuple -> PhasedOperator
 
 
 @dataclass(frozen=True)
@@ -43,33 +37,29 @@ class MubProjector:
         return np.outer(self.vector, self.vector.conj())
 
 
-def class_members(geom: PhaseGeometry, alpha: int, with_alpha: bool = True):
-    """Index vectors (d, 2n), eta exponents (d,) and -i exponents (d,) of the
-    products prod_r S_{g_r}^{b_r} (alpha-corrected with ``with_alpha``), for b
-    in big-endian code order; the phases follow PhasedOperator exactly."""
-    p = geom.p
-    g = geom.gens[alpha]  # (n, 2n)
-    gx, gy = g[:, 0::2], g[:, 1::2]
-    b = _digits(p, geom.n)
+def member_phases(gens, p: int, with_alpha: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """eta exponents and -i exponents of the products prod_r S_{g_r}^{b_r}
+    (alpha-corrected with ``with_alpha``), for b in big-endian code order:
+    shape (p^n,) each for one generator set (n, 2n), (..., p^n) for a stack.
+    The phases follow PhasedOperator exactly."""
+    g = np.asarray(gens, dtype=np.int64)
+    gx, gy = g[..., 0::2], g[..., 1::2]
+    b = _digits(p, g.shape[-2])
     # S_u^m = eta^{binom(m, 2) x_u.y_u} S_{mu}, and S_u S_v = eta^{y_u.x_v} S_{u+v}
     # taken in the order r = 0, 1, ...: pairs r' < r pick up y_{g_r'}.x_{g_r}
-    e = (b * (b - 1) // 2) @ (gx * gy).sum(axis=1)
-    e += np.einsum("kr,rt,kt->k", b, np.triu(gy @ gx.T, 1), b)
-    i_exp = np.zeros(len(b), dtype=np.int64)
+    e = (gx * gy).sum(axis=-1) @ (b * (b - 1) // 2).T
+    e += np.einsum("kr,...rt,kt->...k", b, np.triu(gy @ gx.swapaxes(-1, -2), 1), b)
+    i_exp = np.zeros_like(e)
     if with_alpha and p == 2:  # one -i per qubit block (1,1) of each generator
-        i_exp = b @ ((gx % 2) & (gy % 2)).sum(axis=1)
-    return (b @ g) % p, e % p, i_exp % 4
+        i_exp = ((gx % 2) & (gy % 2)).sum(axis=-1) @ b.T
+    return e % p, i_exp % 4
 
 
-def commuting_class(geom: PhaseGeometry, alpha: int) -> CommutingClass:
-    """All products prod_r S_{g_r(alpha)}^{b_r} with exact phases."""
-    p, n = geom.p, geom.n
-    w, e, i_exp = class_members(geom, alpha, with_alpha=False)
-    members = {
-        tuple(b): PhasedOperator(p, n, tuple(wb), eb, ib)
-        for b, wb, eb, ib in zip(_digits(p, n).tolist(), w.tolist(), e.tolist(), i_exp.tolist())
-    }
-    return CommutingClass(alpha, members)
+def class_members(geom: PhaseGeometry, alpha: int, with_alpha: bool = True):
+    """Index vectors (d, 2n), eta exponents (d,) and -i exponents (d,) of the
+    products prod_r S_{g_r(alpha)}^{b_r}, for b in big-endian code order."""
+    g = geom.generators(alpha)
+    return (_span(g, geom.p), *member_phases(g, geom.p, with_alpha))
 
 
 def class_vectors(geom: PhaseGeometry, alpha: int) -> np.ndarray:

@@ -171,7 +171,7 @@ def wigner_pgm_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:
 
 
 def _mub_basis_to_json(geom, alpha: int, basis) -> dict:
-    label = "inf" if alpha == geom.dim else list(geom.field.from_int(alpha).coeffs)
+    label = "inf" if alpha == geom.dim else _digits(geom.p, geom.n)[alpha, ::-1].tolist()
     w, e, i_exp = class_members(geom, alpha, with_alpha=False)
     compact = [
         {"b": b, "index": wb, "eta_exp": eb, "i_exp": ib}
@@ -181,7 +181,7 @@ def _mub_basis_to_json(geom, alpha: int, basis) -> dict:
     ]
     return {
         "alpha": label,
-        "generators": [list(g) for g in geom.generator_sets[alpha].gens],
+        "generators": geom.gens[alpha].tolist(),
         "projectors": [matrix_to_json(P.matrix) for P in basis],
         "outcomes": [list(P.s) for P in basis],
         "class_operators": compact,

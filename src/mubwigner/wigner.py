@@ -6,8 +6,9 @@ For the generator-route conventions the kernel is the phased product of
 generator powers prod_r (eta^{r_r(alpha)} T_alpha,r)^{b_r} where w decomposes
 as sum_r b_r g_r(alpha) (the index equation) and T are the alpha-corrected
 generator operators. The phases are held as integer exponent arrays,
-phi = eta^eta_exp (-i)^i_exp, built one class at a time with
-mub.class_members. Conventions:
+phi = eta^eta_exp (-i)^i_exp, built for all classes in one stacked call of
+mub.member_phases on the geometry's generators and scattered into code order
+through its class-code table. Conventions:
 
   plain      no shifts (r = 0 everywhere); the n=1 textbook choice
   separable  odd p; shifts r_r(alpha) = -2^{-1} sum_{j != r} y_j^{(r)}(alpha)
@@ -23,7 +24,8 @@ Wigner tables are the symplectic Fourier transform of characteristic tables,
 W(v) = p^{-2n} sum_w eta^{v o w} chi(w), computed with FFTs over the 2n axes
 of V_{2n}(p); conventions differ only by the kernel phases. Marginals
 over shifted isotropic subspaces reproduce the MUB outcome probabilities in
-every convention.
+every convention. The kernel lists the points of each shifted subspace in a
+per-class coset table, so a marginal is a gather of p^n table values.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import FieldError, is_prime, prime_inverse
-from .geometry import PhaseGeometry, _digits, phase_geometry
-from .mub import class_members, class_vectors
+from .geometry import PhaseGeometry, _digits, _reversal, phase_geometry
+from .mub import class_vectors, member_phases
 from .spins import frozen, index_code, spin_basis, spin_decompose, unit_phases
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
@@ -92,7 +94,7 @@ class WignerKernel:
         self._neg_perm = frozen(index_code(p, -self.vectors))
         self._axes = (tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2)))  # x, y
         self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
-        self._gen_outcomes: dict[int, np.ndarray] = {}
+        self._cosets: dict[int, np.ndarray] = {}
         self._a_stack: Optional[np.ndarray] = None
 
     # -- construction ---------------------------------------------------------
@@ -129,38 +131,46 @@ class WignerKernel:
                 return np.zeros_like(ww), ww % 4
             return (prime_inverse(2, p) * ww) % p, np.zeros_like(ww)
         # the classes tile V_{2n}(p) and meet only at the origin, where every
-        # class puts the identity; scatter each class into its code positions
-        b = _digits(p, n)
+        # class puts the identity; scatter all classes through their codes
+        e, i = member_phases(self.geom.gens, p)
         eta_exp = np.zeros(self.N, dtype=np.int64)
         i_exp = np.zeros(self.N, dtype=np.int64)
-        for alpha in range(self.geom.num_classes):
-            w, e, i = class_members(self.geom, alpha)
-            codes = index_code(p, w)
-            eta_exp[codes] = (e + b @ self.shifts[alpha]) % p
-            i_exp[codes] = i
+        eta_exp[self.geom.codes] = (e + self.shifts @ _digits(p, n).T) % p
+        i_exp[self.geom.codes] = i
         return eta_exp, i_exp
 
     # -- derived tables ---------------------------------------------------------
 
-    def gen_outcome_codes(self, alpha: int) -> np.ndarray:
-        """Per index vector u, the code of the shifted outcome vector
-        (u o g_j(alpha) + r_j(alpha))_j; constant on translates of the
-        alpha subspace."""
+    def coset_table(self, alpha: int) -> np.ndarray:
+        """Row s (little-endian outcome code sum_j s_j p^j) lists the p^n codes
+        of the points u whose shifted outcome (u o g_j(alpha) + r_j(alpha))_j
+        is s: the translate of the alpha subspace that W is summed over."""
         if self.shifts is None:
             raise ConventionError(
                 "no generator-route shifts exist for this convention"
             )
-        if not 0 <= alpha <= self.geom.dim:
-            raise ValueError(f"class label {alpha} out of range")
-        if alpha not in self._gen_outcomes:
-            gens = self.geom.gens[alpha]
-            X, Y = self.vectors[:, 0::2], self.vectors[:, 1::2]
-            gX, gY = gens[:, 0::2], gens[:, 1::2]
-            symp = Y @ gX.T - X @ gY.T  # [u, j] = u o g_j(alpha)
-            shifted = (symp + self.shifts[alpha]) % self.p
-            # little-endian outcome code sum_j s_j p^j
-            self._gen_outcomes[alpha] = frozen(shifted @ self.p ** np.arange(self.n))
-        return self._gen_outcomes[alpha]
+        gens = self.geom.generators(alpha)
+        if alpha not in self._cosets:
+            p, n, d = self.p, self.n, self.dim
+            free = _digits(p, n)  # the coordinates left free along the subspace
+            r = self.shifts[alpha]
+            # big-endian place values of the interleaved (x_0, y_0, x_1, ...)
+            place = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+            px, py = place[0::2], place[1::2]
+            t = np.arange(p)[:, None]  # the outcome digit s_j
+            if alpha < d:
+                # u o g_j = y_j - (A x)_j with A = gy(alpha): y = s + A x - r
+                c = (free @ gens[:, 1::2].T - r) % p
+                table, terms = free @ px, [((t + c[:, j]) % p) * py[j] for j in range(n)]
+            else:
+                # u o g_j = -x_j on the vertical class: x = r - s, y free
+                table, terms = free @ py, [((r[j] - t) % p) * px[j] for j in range(n)]
+            # each digit adds its place value on its own axis; s_j runs along
+            # axis n - 1 - j, so rows come out in little-endian outcome code
+            for j, term in enumerate(terms):
+                table = table + term.reshape((p,) + (1,) * j + (-1,))
+            self._cosets[alpha] = frozen(table.reshape(d, d))
+        return self._cosets[alpha]
 
     def a_stack(self) -> np.ndarray:
         """All A operators: A(u) = (1/p^n)(-I + sum_alpha P_alpha(outcomes))."""
@@ -169,16 +179,15 @@ class WignerKernel:
                 raise ConventionError(
                     "A operators need a generator-route convention"
                 )
-            d, p, n = self.dim, self.p, self.n
+            d = self.dim
+            rev = _reversal(self.p, self.n)
             stack = np.zeros((self.N, d, d), dtype=complex)
             stack -= np.eye(d)
             for alpha in range(self.geom.num_classes):
-                # vector rows are in big-endian outcome order, outcome codes
-                # little-endian: reverse the digit axes
-                V = class_vectors(self.geom, alpha).reshape((p,) * n + (d,))
-                V = V.transpose(*range(n - 1, -1, -1), n).reshape(d, d)
-                projs = np.einsum("si,sj->sij", V, V.conj())
-                stack += projs[self.gen_outcome_codes(alpha)]
+                # vector rows are in big-endian outcome order, coset rows
+                # little-endian: the digit reversal maps one to the other
+                V = class_vectors(self.geom, alpha)[rev]
+                stack[self.coset_table(alpha)] += np.einsum("si,sj->sij", V, V.conj())[:, None]
             self._a_stack = frozen(stack / d)
         return self._a_stack
 
@@ -288,12 +297,23 @@ def marginal_along(wt: WignerTable, alpha: int, s: Sequence[int]) -> float:
     """Sum of W over the shifted isotropic subspace with outcome vector s;
     equals tr[rho P_alpha(s)]."""
     k = wt.kernel
-    scode = sum((sj % k.p) * k.p**j for j, sj in enumerate(s))
-    mask = k.gen_outcome_codes(alpha) == scode
-    total = complex(wt.values[mask].sum())
+    if len(s) != k.n or not all(float(c).is_integer() for c in s):
+        raise ValueError(f"{s} is not an outcome vector of V_{k.n}({k.p})")
+    scode = sum((int(sj) % k.p) * k.p**j for j, sj in enumerate(s))
+    total = complex(wt.values[k.coset_table(alpha)[scode]].sum())
     if abs(total.imag) > 1e-8:
         raise ValueError("marginal of a non-Hermitian table is not a probability")
-    return float(total.real)
+    return total.real
+
+
+def class_marginals(wt: WignerTable, alpha: int) -> np.ndarray:
+    """All p^n marginals of one class, in the big-endian outcome order of
+    class_vectors and full_mub: entry code(s) is marginal_along(wt, alpha, s)."""
+    k = wt.kernel
+    totals = wt.values[k.coset_table(alpha)].sum(axis=1)
+    if np.any(np.abs(totals.imag) > 1e-8):  # a NaN passes, and fails the caller's check
+        raise ValueError("marginals of a non-Hermitian table are not probabilities")
+    return totals.real[_reversal(k.p, k.n)]
 
 
 def density_from_char(chi: CharTable) -> np.ndarray:

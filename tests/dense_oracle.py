@@ -6,14 +6,82 @@ matrices (PhasedOperator.matrix), the symplectic Fourier matrix
 eta^{v o w} / N from the kernel's index vectors, and each MUB projector as a
 product of powers of dense generator matrices. Memory grows as d^4, so keep
 them to d <= 27.
+
+The field route to the geometry lives here too: the map M and the class
+generators g_r(alpha) = M(lambda^r u_alpha) by FieldElement arithmetic, one
+product at a time, and each point's shifted outcome code from the symplectic
+products with the generators; the library builds both as integer arrays.
 """
 
 import itertools
 
 import numpy as np
 
-from mubwigner.fields import prime_inverse
+from mubwigner.fields import FieldError, prime_inverse
+from mubwigner.mub import class_members
 from mubwigner.spins import PhasedOperator, eta, index_code, phased_spin
+
+
+def generating_vectors(field):
+    """The p^n + 1 class representatives u_alpha = (1, alpha), then (0, 1)."""
+    out = [(field.one, field.from_int(a)) for a in range(field.order)]
+    out.append((field.zero, field.one))
+    return out
+
+
+def m_map(field, point):
+    """Expand (x, y) as sum x^(j) e_j + y^(j) f_j and interleave coordinates.
+
+    e_j = lambda^j (1,0) so x^(j) is just the j-th coefficient of x; the dual
+    basis gives y^(j) = tr(lambda^j y).
+    """
+    x, y = point
+    if x.field != field or y.field != field:
+        raise FieldError("field mismatch")
+    out = []
+    for j in range(field.n):
+        out.append(x.coeffs[j])
+        out.append(field.trace(field.lam**j * y) if field.n > 1 else field.trace(y))
+    return tuple(out)
+
+
+def generator_set(field, alpha):
+    """g_r(alpha) = M(lambda^r u_alpha) as a tuple of n index vectors; the
+    vertical class uses the dual basis, so its blocks are (0, delta(j,r))."""
+    n = field.n
+    if alpha == field.order:
+        return tuple(
+            tuple(1 if i == 2 * r + 1 else 0 for i in range(2 * n)) for r in range(n)
+        )
+    if not 0 <= alpha < field.order:
+        raise ValueError(f"invalid class label {alpha}")
+    a = field.from_int(alpha)
+    lam = field.lam if n > 1 else field.one
+    return tuple(
+        m_map(field, (lam**r, lam**r * a) if n > 1 else (field.one, a)) for r in range(n)
+    )
+
+
+def commuting_class(geom, alpha):
+    """b-tuple -> PhasedOperator prod_r S_{g_r(alpha)}^{b_r}, exact phases."""
+    p, n = geom.p, geom.n
+    w, e, i_exp = class_members(geom, alpha, with_alpha=False)
+    b = itertools.product(range(p), repeat=n)
+    return {
+        bb: PhasedOperator(p, n, tuple(wb), eb, ib)
+        for bb, wb, eb, ib in zip(b, w.tolist(), e.tolist(), i_exp.tolist())
+    }
+
+
+def outcome_codes(kernel, alpha):
+    """Per index vector u, the little-endian code of the shifted outcome
+    (u o g_j(alpha) + r_j(alpha))_j, from all N symplectic products."""
+    gens = kernel.geom.gens[alpha]
+    X, Y = kernel.vectors[:, 0::2], kernel.vectors[:, 1::2]
+    gX, gY = gens[:, 0::2], gens[:, 1::2]
+    symp = Y @ gX.T - X @ gY.T  # [u, j] = u o g_j(alpha)
+    shifted = (symp + kernel.shifts[alpha]) % kernel.p
+    return shifted @ kernel.p ** np.arange(kernel.n)
 
 
 def kernel_ops(kernel):
@@ -97,7 +165,7 @@ class DenseKernel:
 
 def class_generator_ops(geom, alpha):
     """The alpha-corrected generator operators T_r; each satisfies T_r^p = 1."""
-    return [phased_spin(geom.p, g, with_alpha=True) for g in geom.generator_sets[alpha].gens]
+    return [phased_spin(geom.p, g, with_alpha=True) for g in geom.gens[alpha].tolist()]
 
 
 def mub_projector_matrix(geom, alpha, s):

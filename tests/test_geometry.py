@@ -3,18 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from mubwigner.fields import make_extension, prime_inverse
+from dense_oracle import generating_vectors, generator_set, m_map
+from mubwigner.fields import FieldElement, is_prime, make_extension, prime_inverse
 from mubwigner.geometry import (
     all_lines,
-    subspace_points,
-    generating_vectors,
-    generator_set,
     line_points,
-    m_map,
     phase_geometry,
     symplectic,
     vector_symplectic,
 )
+from mubwigner.mub import full_mub
+from mubwigner.serialize import mub_to_json
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
 
@@ -113,36 +112,84 @@ def test_generator_sets_odd_p_closed_form():
     # for odd p, n=2: {(1,2a0,0,2Da1), (0,2Da1,1,2Da0)} and the vertical set
     for p in (3, 5, 7):
         F = make_extension(p, 2)
+        geom = phase_geometry(p, 2)
         D = (-F.poly[0]) % p
         for alpha in range(p * p):
             a0, a1 = F.from_int(alpha).coeffs
-            gs = generator_set(F, alpha)
-            assert gs.gens[0] == (1, (2 * a0) % p, 0, (2 * D * a1) % p)
-            assert gs.gens[1] == (0, (2 * D * a1) % p, 1, (2 * D * a0) % p)
-        vert = generator_set(F, p * p)
-        assert vert.gens == ((0, 1, 0, 0), (0, 0, 0, 1))
+            gens = geom.gens[alpha].tolist()
+            assert gens[0] == [1, (2 * a0) % p, 0, (2 * D * a1) % p]
+            assert gens[1] == [0, (2 * D * a1) % p, 1, (2 * D * a0) % p]
+        assert geom.gens[p * p].tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
 
 
 def test_generator_sets_two_qubits():
     F = make_extension(2, 2)
+    geom = phase_geometry(2, 2)
     for alpha in range(4):
         a0, a1 = F.from_int(alpha).coeffs
-        gs = generator_set(F, alpha)
-        assert gs.gens[0] == (1, a1, 0, (a0 + a1) % 2)
-        assert gs.gens[1] == (0, (a0 + a1) % 2, 1, a0)
+        gens = geom.gens[alpha].tolist()
+        assert gens[0] == [1, a1, 0, (a0 + a1) % 2]
+        assert gens[1] == [0, (a0 + a1) % 2, 1, a0]
     # vertical class from the dual-basis expansion: blocks (0, delta(j,r))
-    assert generator_set(F, 4).gens == ((0, 1, 0, 0), (0, 0, 0, 1))
+    assert geom.gens[4].tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
+
+
+# the field route as oracle: every n >= 2 with d <= 256, and n = 1 to p = 31
+ORACLE_FIELDS = [(p, n) for p in range(2, 32) if is_prime(p) for n in range(1, 9)
+                 if n == 1 or p**n <= 256]
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+def test_hankel_generators_match_field_route(p, n):
+    geom = phase_geometry(p, n)
+    want = [generator_set(geom.field, alpha) for alpha in range(geom.num_classes)]
+    assert geom.gens.dtype == np.int64
+    assert np.array_equal(geom.gens, np.array(want))
+
+
+def test_geometry_builds_without_field_multiplication(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("FieldElement product taken")
+
+    monkeypatch.setattr(FieldElement, "__mul__", refuse)
+    from mubwigner.wigner import CONVENTIONS, ConventionError, wigner_kernel
+
+    phase_geometry.cache_clear()
+    wigner_kernel.cache_clear()
+    try:
+        for p, n in [(2, 2), (3, 2), (2, 8), (3, 5)]:
+            phase_geometry(p, n)
+            for conv in CONVENTIONS:
+                try:
+                    k = wigner_kernel(p, n, conv)
+                except ConventionError:
+                    continue
+                assert k.N == p ** (2 * n)
+    finally:
+        phase_geometry.cache_clear()
+        wigner_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("alpha", [-1, 10, 2.0])
+def test_class_label_rejected_where_generators_are_read(alpha):
+    from mubwigner.mub import class_vectors, mub_projector
+
+    geom = phase_geometry(3, 2)  # p^n + 1 = 10 classes
+    for read in (geom.generators, geom.subspace_points, lambda a: class_vectors(geom, a),
+                 lambda a: mub_projector(geom, a, (0, 0))):
+        with pytest.raises(ValueError, match="class label"):
+            read(alpha)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 2)])
 def test_generators_isotropic_and_symmetric(p, n):
     geom = phase_geometry(p, n)
-    for gs in geom.generator_sets:
-        for g1, g2 in itertools.product(gs.gens, repeat=2):
+    for gens in geom.gens.tolist():
+        for g1, g2 in itertools.product(gens, repeat=2):
             assert vector_symplectic(g1, g2, p) == 0
     # y_k^{(j)} = y_j^{(k)}
     for alpha in range(geom.dim):
-        y = geom.y_table[alpha]
+        y = geom.gens[alpha, :, 1::2]
         for j, k in itertools.product(range(n), repeat=2):
             assert y[j][k] == y[k][j]
 
@@ -234,22 +281,8 @@ def test_decompose_rejects_non_integer_entries():
             geom.decompose(w)
 
 
-def test_subspace_points_free_function():
-    # matches the cached tables and keeps the coefficients recoverable
-    geom = phase_geometry(3, 2)
-    for alpha in range(geom.num_classes):
-        gs = geom.generator_sets[alpha]
-        pts = subspace_points(gs, 3)
-        assert pts == geom.subspace_points(alpha)
-        for b, w in pts.items():
-            if any(w):
-                assert geom.decompose(w) == (alpha, b)
-
-
 def test_generator_set_json():
-    F = make_extension(3, 2)
-    gs = generator_set(F, 4)
-    data = gs.to_json(F)
-    assert data["alpha"] == [1, 1]
-    assert data["gens"] == [[1, 2, 0, 1], [0, 1, 1, 1]]
-    assert generator_set(F, 9).to_json(F)["alpha"] == "inf"
+    data = mub_to_json(full_mub(3, 2), 3, 2)["bases"]
+    assert data[4]["alpha"] == [1, 1]
+    assert data[4]["generators"] == [[1, 2, 0, 1], [0, 1, 1, 1]]
+    assert data[9]["alpha"] == "inf"

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import SIGMA
-from dense_oracle import class_generator_ops, mub_projector_matrix
+from dense_oracle import class_generator_ops, commuting_class, mub_projector_matrix
 from mubwigner.geometry import phase_geometry
-from mubwigner.mub import class_members, commuting_class, full_mub, mub_projector, verify_mub
+from mubwigner.mub import class_members, full_mub, mub_projector, verify_mub
 from mubwigner.spins import PhasedOperator, phased_spin, spin_matrix
 
 # every (p, n) with d = p^n <= 27
@@ -23,7 +23,7 @@ def test_qubit_classes():
     for alpha, M in want.items():
         cls = commuting_class(geom, alpha)
         mats = sorted(
-            (np.round(op.matrix(), 12).tolist() for op in cls.members.values()),
+            (np.round(op.matrix(), 12).tolist() for op in cls.values()),
             key=str,
         )
         expect = sorted(
@@ -42,7 +42,7 @@ def test_class_members_odd_p_squared_form():
         g0 = np.kron(spin_matrix(p, 1, 2 * a0 % p), spin_matrix(p, 0, 2 * D * a1 % p))
         g1 = np.kron(spin_matrix(p, 0, 2 * D * a1 % p), spin_matrix(p, 1, 2 * D * a0 % p))
         cls = commuting_class(geom, alpha)
-        for b, op in cls.members.items():
+        for b, op in cls.items():
             want = np.linalg.matrix_power(g0, b[0]) @ np.linalg.matrix_power(g1, b[1])
             assert np.abs(op.matrix() - want).max() < TOL
 
@@ -51,7 +51,7 @@ def test_class_members_odd_p_squared_form():
 def test_class_members_commute(p, n):
     geom = phase_geometry(p, n)
     for alpha in range(geom.num_classes):
-        mats = [op.matrix() for op in commuting_class(geom, alpha).members.values()]
+        mats = [op.matrix() for op in commuting_class(geom, alpha).values()]
         for A, B in itertools.product(mats, repeat=2):
             assert np.abs(A @ B - B @ A).max() < TOL
 
@@ -61,7 +61,7 @@ def test_classes_disjoint_except_identity(p, n):
     geom = phase_geometry(p, n)
     seen = {}
     for alpha in range(geom.num_classes):
-        for b, op in commuting_class(geom, alpha).members.items():
+        for b, op in commuting_class(geom, alpha).items():
             if all(x == 0 for x in b):
                 continue
             assert op.index not in seen
@@ -147,7 +147,7 @@ def test_class_members_match_phased_operator_products(p, n):
     geom = phase_geometry(p, n)
     for alpha in range(geom.num_classes):
         for with_alpha in (True, False):
-            gens = [phased_spin(p, g, with_alpha) for g in geom.generator_sets[alpha].gens]
+            gens = [phased_spin(p, g, with_alpha) for g in geom.gens[alpha].tolist()]
             w, e, i_exp = class_members(geom, alpha, with_alpha)
             for k, b in enumerate(itertools.product(range(p), repeat=n)):
                 acc = PhasedOperator(p, n, (0,) * (2 * n))

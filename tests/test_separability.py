@@ -144,9 +144,9 @@ def test_dynamics_kernel_closed_form_matches_generator_route():
     import itertools as it
 
     for alpha in range(geom.num_classes):
-        gens = [phased_spin(p, g) for g in geom.generator_sets[alpha].gens]
+        gens = [phased_spin(p, g) for g in geom.gens[alpha].tolist()]
         if alpha < geom.dim:
-            shifts = [(inv2 * geom.y_table[alpha][r][r]) % p for r in range(n)]
+            shifts = [int(inv2 * geom.gens[alpha, r, 2 * r + 1]) % p for r in range(n)]
         else:
             shifts = [0] * n
         for b in it.product(range(p), repeat=n):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SIGMA, random_hermitian
-from dense_oracle import DenseKernel, ft_matrix, kernel_op, kernel_ops, spin_stack
-from mubwigner.fields import prime_inverse
+from dense_oracle import DenseKernel, ft_matrix, kernel_op, kernel_ops, outcome_codes, spin_stack
+from mubwigner.fields import is_prime, prime_inverse
 from mubwigner.geometry import phase_geometry
 from mubwigner.mub import mub_projector
 from mubwigner.spins import (
@@ -25,6 +25,7 @@ from mubwigner.wigner import (
     a_operator,
     char_from_wigner,
     char_function,
+    class_marginals,
     default_convention,
     marginal_along,
     plancherel_inner,
@@ -37,6 +38,7 @@ from mubwigner.wigner import (
     wigner_function,
     wigner_kernel,
     wigner_maximally_entangled,
+    _validate_convention,
 )
 
 TOL = 1e-10
@@ -349,8 +351,38 @@ def test_cached_arrays_are_read_only(p, n, conv):
     k = wigner_kernel(p, n, conv)
     for a in (k.basis.vectors, k.basis._diag, k.phases, k.eta_exp, k.i_exp, k.shifts,
               k.geom.gens, k.geom._class_of, k.geom._b_code, k._neg_perm,
-              k.gen_outcome_codes(0), k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv)):
+              k.geom.codes, k.coset_table(0), k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv)):
         _assert_read_only(a)
+
+
+def _valid_conventions(p, n):
+    for conv in CONVENTIONS:
+        try:
+            _validate_convention(p, n, conv)
+        except ConventionError:
+            continue
+        yield conv
+
+
+# every (p, n) with d <= 81 and every convention valid there
+COSET_CASES = [(p, n, conv) for p in range(2, 82) if is_prime(p) for n in range(1, 7)
+               if p**n <= 81 for conv in _valid_conventions(p, n)]
+
+
+@pytest.mark.parametrize("p,n,conv", COSET_CASES)
+def test_coset_tables_match_outcome_formula(p, n, conv):
+    k = wigner_kernel(p, n, conv)
+    d = p**n
+    if k.shifts is None:  # the p=2 closed-form dynamics kernel has no shifts
+        with pytest.raises(ConventionError):
+            k.coset_table(0)
+        return
+    for alpha in range(d + 1):
+        table = k.coset_table(alpha)
+        assert table.shape == (d, d)
+        # each point sits in exactly one row, the row of its outcome code
+        assert np.array_equal(np.sort(table, axis=None), np.arange(k.N))
+        assert np.array_equal(outcome_codes(k, alpha)[table], np.repeat(np.arange(d)[:, None], d, 1))
 
 
 def test_a_operator_qubit_closed_form():
@@ -378,6 +410,24 @@ def test_wigner_equals_a_operator_traces(p, n, conv, rng):
     A = wt.kernel.a_stack()
     want = np.einsum("uij,ji->u", A, rho)
     assert np.abs(wt.values - want).max() < TOL
+
+
+@pytest.mark.parametrize("s", [(0,), (0, 0, 2), (1.5, 0), (float("nan"), 0)])
+def test_marginal_rejects_malformed_outcome(s, rng):
+    wt = wigner_function(random_density(9, rng), 3, 2, "separable")
+    with pytest.raises(ValueError, match="outcome vector"):
+        marginal_along(wt, 0, s)
+    assert marginal_along(wt, 0, (1.0, 0)) == marginal_along(wt, 0, (1, 0))
+
+
+@pytest.mark.parametrize("p,n,conv", [(2, 1, "plain"), (3, 2, "separable"), (2, 3, "plain")])
+def test_class_marginals_follow_the_outcome_order(p, n, conv, rng):
+    wt = wigner_function(random_density(p**n, rng), p, n, conv)
+    for alpha in range(p**n + 1):
+        want = [marginal_along(wt, alpha, s) for s in itertools.product(range(p), repeat=n)]
+        assert np.abs(class_marginals(wt, alpha) - want).max() < 1e-15
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        class_marginals(wigner_function(1j * np.diag(np.arange(1, p**n + 1)), p, n, conv), 0)
 
 
 @pytest.mark.parametrize("p,n,conv", A_CASES)
@@ -595,7 +645,8 @@ def test_invariants_beyond_dense_reach(p, n, rng):
     s = tuple(j % p for j in range(n))
     for alpha in (0, 1, d):
         P = mub_projector(k.geom, alpha, s).matrix
-        on = k.gen_outcome_codes(alpha) == sum(sj * p**j for j, sj in enumerate(s))
+        on = np.zeros(k.N, dtype=bool)
+        on[k.coset_table(alpha)[sum(sj * p**j for j, sj in enumerate(s))]] = True
         assert on.sum() == d
         W = wigner_function(P, p, n, conv).values
         assert np.abs(W - np.where(on, p**-n, 0.0)).max() < 1e-12
