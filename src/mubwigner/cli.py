@@ -16,10 +16,9 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     UnsupportedDynamicsError,
+    _trajectory,
     build_char_generator,
     char_dynamics_table,
-    density_from_dynamics_char,
-    evolve,
 )
 from .fields import FieldError, is_prime
 from .serialize import (
@@ -258,10 +257,8 @@ def cmd_evolve(args) -> int:
     purity0 = float(np.sum(rho * rho.T).real)
     trace_drifts, purity_drifts = [], []
     with open(out, "w") as fh:
-        for t in times:
-            chit = evolve(chi0, gen, float(t))
-            rhot = density_from_dynamics_char(chit)
-            fh.write(json.dumps(trajectory_record(float(t), chit, rhot)) + "\n")
+        for t, chit, rhot in _trajectory(chi0, gen, times.tolist()):
+            fh.write(json.dumps(trajectory_record(t, chit, rhot)) + "\n")
             trace_drifts.append(abs(float(np.trace(rhot).real) - 1.0))
             purity_drifts.append(abs(float(np.sum(rhot * rhot.T).real) - purity0))
     # np.max keeps a NaN drift, which the builtin max would drop

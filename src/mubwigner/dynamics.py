@@ -158,9 +158,10 @@ def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     return GeneratorMatrix("wigner", p, n, _hermitian_check(H, p**n))
 
 
-def evolve(state, gen: GeneratorMatrix, t: float):
-    """Propagate a dynamics-convention table to time t: exp(-iLt) applied as
-    the table of U rho U^dagger, U = e^{-iHt}."""
+def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
+    """Yield (t, table at t, rho(t)) for each t in times. The density of
+    `state` and its rotation Q^dagger rho Q into the eigenbasis of H are
+    computed once for the whole trajectory."""
     if isinstance(state, CharTable):
         if gen.kind != "char":
             raise ValueError("characteristic tables evolve under a char-space generator")
@@ -173,21 +174,30 @@ def evolve(state, gen: GeneratorMatrix, t: float):
         raise ConventionError("dynamics acts on tables in the dynamics convention")
     if (state.p, state.n) != (gen.p, gen.n):
         raise ValueError("state and generator shapes differ")
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    for t in times:
+        if not np.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
     lam, Q = gen.eig()
     wigner = isinstance(state, WignerTable)
     rho = reconstruct_density(state) if wigner else density_from_char(state)
-    ph = np.exp(-1j * lam * t)
-    rho_t = Q @ (ph[:, None] * (Q.conj().T @ rho @ Q) * ph.conj()) @ Q.conj().T
-    values = state.kernel.char_values(rho_t)
-    if wigner:
-        values = state.kernel.symplectic_ft(values)
-    return type(state)(state.p, state.n, state.convention, values)
+    rot = Q.conj().T @ rho @ Q
+    for t in times:
+        ph = np.exp(-1j * lam * t)
+        rho_t = Q @ (ph[:, None] * rot * ph.conj()) @ Q.conj().T
+        values = state.kernel.char_values(rho_t)
+        if wigner:
+            values = state.kernel.symplectic_ft(values)
+        yield t, type(state)(state.p, state.n, state.convention, values), rho_t
+
+
+def evolve(state, gen: GeneratorMatrix, t: float):
+    """Propagate a dynamics-convention table to time t: exp(-iLt) applied as
+    the table of U rho U^dagger, U = e^{-iHt}."""
+    return next(_trajectory(state, gen, [t]))[1]
 
 
 def evolve_trajectory(state, gen: GeneratorMatrix, times: Sequence[float]) -> list:
-    return [evolve(state, gen, t) for t in times]
+    return [table for _, table, _ in _trajectory(state, gen, times)]
 
 
 def char_dynamics_table(rho: np.ndarray, p: int, n: int) -> CharTable:

@@ -8,6 +8,7 @@ State files may instead hold a MUB-projector shorthand {"alpha": ..., "s":
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,28 @@ def matrix_to_json(M: np.ndarray) -> list:
     return np.stack((M.real, M.imag), axis=-1).tolist()
 
 
+def _complex_json(M: np.ndarray) -> str:
+    """json.dumps(matrix_to_json(M)), with each distinct entry encoded once.
+
+    Entries are keyed by their 16-byte bit pattern, not their value, so 0.0
+    and -0.0 stay apart and a NaN matches itself. Only the speed depends on
+    entries repeating, as those of a MUB projector |psi><psi| do."""
+    M = np.asarray(M, dtype=complex)
+    bits = np.ascontiguousarray(M).reshape(-1).view(np.dtype((np.void, 16)))
+    keys, inv = np.unique(bits, return_inverse=True)
+    tokens = np.array(
+        ["[" + json.dumps(z.real) + ", " + json.dumps(z.imag) + "]"
+         for z in keys.view(complex).tolist()],
+        dtype=object,
+    )
+    flat = tokens[inv.reshape(-1)].tolist()
+    for axis in range(M.ndim - 1, -1, -1):  # innermost axis first
+        k = M.shape[axis]
+        flat = ["[" + ", ".join(flat[i * k:(i + 1) * k]) + "]"
+                for i in range(math.prod(M.shape[:axis]))]
+    return flat[0]
+
+
 def matrix_from_json(data) -> np.ndarray:
     arr = np.array(data, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
@@ -31,11 +54,6 @@ def matrix_from_json(data) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("matrix JSON has non-finite (NaN or infinite) entries")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def save_matrix(path, M: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(M), fh)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -170,7 +188,7 @@ def wigner_pgm_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:
 # -- MUB export ------------------------------------------------------------------
 
 
-def _mub_basis_to_json(geom, alpha: int, basis) -> dict:
+def _mub_basis_to_json(geom, alpha: int, basis, projectors) -> dict:
     label = "inf" if alpha == geom.dim else _digits(geom.p, geom.n)[alpha, ::-1].tolist()
     w, e, i_exp = class_members(geom, alpha, with_alpha=False)
     compact = [
@@ -182,7 +200,7 @@ def _mub_basis_to_json(geom, alpha: int, basis) -> dict:
     return {
         "alpha": label,
         "generators": geom.gens[alpha].tolist(),
-        "projectors": [matrix_to_json(P.matrix) for P in basis],
+        "projectors": projectors,
         "outcomes": [list(P.s) for P in basis],
         "class_operators": compact,
     }
@@ -194,20 +212,31 @@ def mub_to_json(bases, p: int, n: int) -> dict:
         "p": p,
         "n": n,
         "field": geom.field.to_json(),
-        "bases": [_mub_basis_to_json(geom, alpha, basis) for alpha, basis in enumerate(bases)],
+        "bases": [
+            _mub_basis_to_json(geom, alpha, basis, [matrix_to_json(P.matrix) for P in basis])
+            for alpha, basis in enumerate(bases)
+        ],
     }
 
 
 def write_mub_json(fh, bases, p: int, n: int) -> None:
     """Write json.dumps(mub_to_json(bases, p, n)) to fh, one basis at a time.
 
-    json.dumps runs the C encoder, which json.dump does not; encoding per basis
-    keeps the whole document out of memory, as a string and as a dict."""
+    Encoding per basis keeps the whole document out of memory, as a string and
+    as a dict. The projectors |psi><psi| go through _complex_json, which encodes
+    their few distinct entries once; the rest of each basis goes through
+    json.dumps (the C encoder, which json.dump does not run)."""
     head = json.dumps(mub_to_json([], p, n))  # ends in the empty list: '[]}'
     fh.write(head[:-2])
     geom = phase_geometry(p, n)
+    slot = '"projectors": null'
     for alpha, basis in enumerate(bases):
-        fh.write((", " if alpha else "") + json.dumps(_mub_basis_to_json(geom, alpha, basis)))
+        pre, post = json.dumps(_mub_basis_to_json(geom, alpha, basis, None)).split(slot)
+        V = np.array([P.vector for P in basis])
+        # the same products, bit for bit, as np.outer in MubProjector.matrix
+        fh.write((", " if alpha else "") + pre + '"projectors": ')
+        fh.write(_complex_json(V[:, :, None] * V[:, None, :].conj()))
+        fh.write(post)
     fh.write("]}")
 
 

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mubwigner.cli import main
-from mubwigner.mub import full_mub, mub_projector
+from mubwigner.mub import MubProjector, full_mub, mub_projector
 from mubwigner.geometry import phase_geometry
 from mubwigner.serialize import (
+    _complex_json,
     matrix_from_json,
     matrix_to_json,
     mub_to_json,
@@ -80,11 +84,65 @@ def test_cli_mub_honours_tol(tmp_path):
     assert report["tol"] == 1e-30 and report["passed"] is False
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1 / 3, 1e300])
+
+
+def pairs(re, im):
+    """Complex array from its parts, bit for bit (re + 1j * im turns inf into NaN)."""
+    re, im = np.broadcast_arrays(re, im)
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        pairs(SPECIAL, SPECIAL[::-1]),
+        pairs(SPECIAL[:, None], SPECIAL[None, :]),
+        pairs(np.full((3, 2, 4), np.nan), -0.0),
+        pairs([[-0.0, 0.0], [0.0, -0.0]], [[0.0, -0.0], [-0.0, -0.0]]),
+        pairs(np.tile(SPECIAL[:3], (2, 4, 1)), 1.0),  # repeated entries
+        np.random.default_rng(7).normal(size=(4, 3, 5, 2)).view(complex)[..., 0],
+        (np.arange(24) * (0.5 + 0.25j)).reshape(4, 6)[:, ::2],
+        np.zeros((2, 0)),
+        np.zeros((0, 3)),
+        np.array(1 - 2j),
+    ],
+)
+def test_complex_json_matches_one_shot_encoding(M):
+    assert _complex_json(M) == json.dumps(matrix_to_json(M))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        complex,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
+        elements=st.complex_numbers(allow_nan=True, allow_infinity=True)
+        | st.sampled_from(pairs(SPECIAL[:, None], SPECIAL[None, :5]).ravel().tolist()),
+    )
+)
+def test_complex_json_property(M):
+    assert _complex_json(M) == json.dumps(matrix_to_json(M))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4)])
 def test_cli_mub_file_matches_one_shot_encoding(tmp_path, p, n):
     assert main(["mub", "--p", str(p), "--n", str(n), "--out", str(tmp_path / "m")]) == 0
     want = json.dumps(mub_to_json(full_mub(p, n), p, n))
     assert (tmp_path / "m.json").read_text() == want
+
+
+def test_cli_mub_writes_without_dense_projectors(tmp_path, monkeypatch):
+    argv = ["mub", "--p", "3", "--n", "2", "--out"]
+    assert main(argv + [str(tmp_path / "a")]) == 0
+
+    def refuse(self):
+        raise AssertionError("dense projector built")
+
+    monkeypatch.setattr(MubProjector, "matrix", property(refuse))
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    for suffix in (".json", ".report.json"):
+        assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"a{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
@@ -277,17 +335,16 @@ def test_cli_evolve_trajectory(tmp_path):
 def test_cli_evolve_drifts_keep_nan(tmp_path, monkeypatch):
     import mubwigner.cli as cli
 
-    real = cli.density_from_dynamics_char
-    steps = []
+    real = cli._trajectory
 
-    def nan_at_second_step(chi):
-        rho = np.array(real(chi))
-        steps.append(chi)
-        if len(steps) == 2:
-            rho[0, 0] = np.nan
-        return rho
+    def nan_at_second_step(*args):
+        for k, (t, chi, rho) in enumerate(real(*args)):
+            rho = np.array(rho)
+            if k == 1:
+                rho[0, 0] = np.nan
+            yield t, chi, rho
 
-    monkeypatch.setattr(cli, "density_from_dynamics_char", nan_at_second_step)
+    monkeypatch.setattr(cli, "_trajectory", nan_at_second_step)
     S01 = spin_matrix(3, 0, 1)
     hfile = write_json(tmp_path / "H.json", matrix_to_json(S01 + S01.conj().T))
     state = write_json(tmp_path / "s.json", {"alpha": [1], "s": [0]})

@@ -8,6 +8,7 @@ from conftest import SIGMA, random_hermitian
 from mubwigner.dynamics import (
     GeneratorMatrix,
     UnsupportedDynamicsError,
+    _trajectory,
     build_char_generator,
     build_wigner_generator,
     char_dynamics_table,
@@ -220,13 +221,25 @@ def test_three_level_mub_hamiltonian_worked_example():
 
 
 def test_trajectory_helper(rng):
-    H = random_hermitian(2, rng)
-    rho = random_density(2, rng)
-    gen = build_char_generator(H, 2, 1)
-    chi0 = char_dynamics_table(rho, 2, 1)
-    traj = evolve_trajectory(chi0, gen, [0.0, 0.5, 1.0])
-    assert len(traj) == 3
-    assert np.abs(traj[0].values - chi0.values).max() < TOL
+    for p, n, wigner in [(2, 1, False), (3, 2, False), (3, 2, True)]:
+        d = p**n
+        H = random_hermitian(d, rng)
+        rho = random_density(d, rng)
+        chi0 = char_dynamics_table(rho, p, n)
+        state = wigner_from_char(chi0) if wigner else chi0
+        gen = (build_wigner_generator if wigner else build_char_generator)(H, p, n)
+        times = [0.0, 0.5, 1.0]
+        traj = evolve_trajectory(state, gen, times)
+        assert len(traj) == 3
+        assert np.abs(traj[0].values - state.values).max() < TOL
+        # one rotation of rho per trajectory gives the same bits as one per call
+        for t, table in zip(times, traj):
+            assert np.array_equal(table.values, evolve(state, gen, t).values)
+        # the density handed out with each table is the one the table encodes
+        recover = reconstruct_density if wigner else density_from_dynamics_char
+        for t, table, rho_t in _trajectory(state, gen, times):
+            assert np.abs(rho_t - recover(table)).max() < 1e-12
+            assert np.abs(rho_t - direct_evolution(H, rho, t)).max() < EVOLVE_TOL
 
 
 def test_spin_coeff_bridge_qubit():
