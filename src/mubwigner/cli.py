@@ -125,8 +125,7 @@ def cmd_mub(args) -> int:
 
 def cmd_wigner(args) -> int:
     _validate_pn(args.p, args.n)
-    rng = np.random.default_rng(args.seed)
-    rho = load_state(args.input, args.p, args.n, rng)
+    rho = load_state(args.input, args.p, args.n, args.seed)
     hermitian = np.abs(rho - rho.conj().T).max() <= args.tol
     conv = args.convention or default_convention(args.p, args.n)
     wt = wigner_function(rho, args.p, args.n, conv)
@@ -160,7 +159,6 @@ def cmd_wigner(args) -> int:
 
 def _check_state(args, rho, conv) -> dict:
     p, n, tol = args.p, args.n, args.tol
-    rng = np.random.default_rng(args.seed + 1)
     results: dict = {}
     requested = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in requested:
@@ -179,7 +177,7 @@ def _check_state(args, rho, conv) -> dict:
         dev = float(np.max(np.abs(devs)))
         results["marginals"] = {"max_deviation": dev, "passed": dev < tol}
     if "plancherel" in requested:
-        sigma = random_density(p**n, rng)
+        sigma = random_density(p**n, np.random.default_rng(args.seed + 1))
         ws = wigner_function(sigma, p, n, conv)
         dev = float(np.max(np.abs([
             plancherel_inner(wt, wt) - float(np.trace(rho @ rho).real),
@@ -217,8 +215,7 @@ def _check_state(args, rho, conv) -> dict:
 
 def cmd_check(args) -> int:
     _validate_pn(args.p, args.n)
-    rng = np.random.default_rng(args.seed)
-    rho = load_state(args.input, args.p, args.n, rng)
+    rho = load_state(args.input, args.p, args.n, args.seed)
     conv = args.convention or default_convention(args.p, args.n)
     results = _check_state(args, rho, conv)
     passed = all(r["passed"] for r in results.values())
@@ -245,8 +242,7 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"--t0 and --t1 must be finite, got {args.t0} and {args.t1}")
     if args.steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = np.random.default_rng(args.seed)
-    rho = load_state(args.input, args.p, args.n, rng)
+    rho = load_state(args.input, args.p, args.n, args.seed)
     H = load_matrix(args.hamiltonian)
     gen = build_char_generator(H, args.p, args.n)
     chi0 = char_dynamics_table(rho, args.p, args.n)

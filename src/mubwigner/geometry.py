@@ -133,10 +133,21 @@ class PhaseGeometry:
         class_of[0] = b_code[0] = 0
         return frozen(class_of), frozen(b_code)
 
-    def generators(self, alpha: int) -> np.ndarray:
-        """g_0(alpha)..g_{n-1}(alpha), shape (n, 2n); rejects bad labels."""
+    def check_label(self, alpha: int) -> None:
+        """Raise ValueError unless alpha is an integer class label 0..p^n."""
         if not isinstance(alpha, (int, np.integer)) or not 0 <= alpha <= self.dim:
             raise ValueError(f"invalid class label {alpha!r}")
+
+    def outcome(self, s: Sequence[int]) -> tuple:
+        """s with its entries reduced mod p; raises ValueError unless s has n
+        integer-valued entries."""
+        if len(s) != self.n or not all(float(c).is_integer() for c in s):
+            raise ValueError(f"{s} is not an outcome vector of V_{self.n}({self.p})")
+        return tuple(int(c) % self.p for c in s)
+
+    def generators(self, alpha: int) -> np.ndarray:
+        """g_0(alpha)..g_{n-1}(alpha), shape (n, 2n); rejects bad labels."""
+        self.check_label(alpha)
         return self.gens[alpha]
 
     def decompose(self, w: Sequence[int]) -> tuple[int, tuple]:

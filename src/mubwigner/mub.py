@@ -92,9 +92,7 @@ def class_vectors(geom: PhaseGeometry, alpha: int) -> np.ndarray:
 def mub_projector(geom: PhaseGeometry, alpha: int, s: tuple) -> MubProjector:
     """P_alpha(s) = prod_r (1/p) sum_b (eta^{s_r} T_r)^b; rank one. Each call
     builds the whole class, so read many outcomes off one class_vectors."""
-    if len(s) != geom.n:
-        raise ValueError(f"outcome vector must have {geom.n} components")
-    s = tuple(c % geom.p for c in s)
+    s = geom.outcome(s)
     return MubProjector(alpha, s, frozen(class_vectors(geom, alpha)[index_code(geom.p, s)]))
 
 

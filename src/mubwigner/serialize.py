@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,15 +27,21 @@ def matrix_to_json(M: np.ndarray) -> list:
 def _complex_json(M: np.ndarray) -> str:
     """json.dumps(matrix_to_json(M)), with each distinct entry encoded once.
 
-    Entries are keyed by their 16-byte bit pattern, not their value, so 0.0
-    and -0.0 stay apart and a NaN matches itself. Only the speed depends on
-    entries repeating, as those of a MUB projector |psi><psi| do."""
+    Entries are keyed by the bit patterns of their real and imaginary parts,
+    not their value, so 0.0 and -0.0 stay apart and a NaN matches itself.
+    Only the speed depends on entries repeating, as those of a MUB projector
+    |psi><psi| do."""
     M = np.asarray(M, dtype=complex)
-    bits = np.ascontiguousarray(M).reshape(-1).view(np.dtype((np.void, 16)))
-    keys, inv = np.unique(bits, return_inverse=True)
+    # uint64 keys sort as integers, far faster than 16-byte void keys
+    bits = np.ascontiguousarray(M).reshape(-1).view(np.uint64)
+    re, re_inv = np.unique(bits[0::2], return_inverse=True)
+    im, im_inv = np.unique(bits[1::2], return_inverse=True)
+    pairs, inv = np.unique(re_inv * len(im) + im_inv, return_inverse=True)
+    re_tok = [json.dumps(x) for x in re.view(float).tolist()]
+    im_tok = [json.dumps(x) for x in im.view(float).tolist()]
+    a, b = np.divmod(pairs, len(im) or 1)
     tokens = np.array(
-        ["[" + json.dumps(z.real) + ", " + json.dumps(z.imag) + "]"
-         for z in keys.view(complex).tolist()],
+        ["[" + re_tok[i] + ", " + im_tok[j] + "]" for i, j in zip(a.tolist(), b.tolist())],
         dtype=object,
     )
     flat = tokens[inv.reshape(-1)].tolist()
@@ -61,24 +66,32 @@ def load_matrix(path) -> np.ndarray:
         return matrix_from_json(json.load(fh))
 
 
-def resolve_state(
-    data, p: int, n: int, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """Turn parsed state-file JSON into a p^n x p^n complex matrix."""
+def _class_label(alpha, p: int, n: int) -> int:
+    """A state file's class label: "inf", an integer, or a list of
+    little-endian base-p digits; a non-integer entry raises ValueError."""
+    if alpha == "inf":
+        return p**n
+    digits = alpha if isinstance(alpha, list) else [alpha]
+    if not all(float(a).is_integer() for a in digits):
+        raise ValueError(f"class label {alpha!r} is not an integer")
+    if isinstance(alpha, list):
+        return sum(int(a) % p * p**k for k, a in enumerate(alpha))
+    return int(alpha)
+
+
+def resolve_state(data, p: int, n: int, rng: int | np.random.Generator | None = None) -> np.ndarray:
+    """Turn parsed state-file JSON into a p^n x p^n complex matrix. A random
+    state draws from rng, a seed or a np.random.Generator (seed 0 when None);
+    no generator is made for any other state."""
     d = p**n
     if isinstance(data, dict):
         if "alpha" in data and "s" in data:
-            alpha = data["alpha"]
-            if alpha == "inf":
-                alpha = d
-            elif isinstance(alpha, list):
-                alpha = sum(int(a) % p * p**k for k, a in enumerate(alpha))
+            alpha = _class_label(data["alpha"], p, n)
             geom = phase_geometry(p, n)
-            proj: MubProjector = mub_projector(geom, int(alpha), tuple(data["s"]))
+            proj: MubProjector = mub_projector(geom, alpha, tuple(data["s"]))
             return proj.matrix
         if "random" in data:
-            if rng is None:
-                rng = np.random.default_rng(0)
+            rng = np.random.default_rng(0 if rng is None else rng)
             kind = data["random"]
             if kind == "density":
                 return random_density(d, rng)
@@ -92,7 +105,7 @@ def resolve_state(
     return M
 
 
-def load_state(path, p: int, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def load_state(path, p: int, n: int, rng: int | np.random.Generator | None = None) -> np.ndarray:
     with open(path) as fh:
         return resolve_state(json.load(fh), p, n, rng)
 

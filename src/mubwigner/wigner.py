@@ -25,13 +25,16 @@ W(v) = p^{-2n} sum_w eta^{v o w} chi(w), computed with FFTs over the 2n axes
 of V_{2n}(p); conventions differ only by the kernel phases. Marginals
 over shifted isotropic subspaces reproduce the MUB outcome probabilities in
 every convention. The kernel lists the points of each shifted subspace in a
-per-class coset table, so a marginal is a gather of p^n table values.
+per-class coset table; a Wigner table sums its values over the rows of one
+class's coset table the first time that class is asked for and keeps the
+totals, so every later marginal of the class is a lookup. Tables are
+immutable: each holds a read-only copy of its values.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -216,42 +219,70 @@ class WignerKernel:
     def code(self, w: Sequence[int]) -> int:
         return index_code(self.p, w)
 
+    @functools.cached_property
+    def outcome_codes(self) -> dict[tuple, int]:
+        """Outcome vector s (entries in 0..p-1) -> its little-endian code
+        sum_j s_j p^j, the coset-table row of s."""
+        little = _digits(self.p, self.n)[:, ::-1].tolist()
+        return dict(zip(map(tuple, little), range(self.dim)))
+
+    def outcome_code(self, s: Sequence[int]) -> int:
+        """Little-endian code of s; entries reduce mod p. Raises ValueError
+        unless s has n integer-valued entries."""
+        code = self.outcome_codes.get(tuple(s))
+        if code is None:
+            code = self.outcome_codes[self.geom.outcome(s)]
+        return code
+
 
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _read_only_copy(table) -> None:
+    object.__setattr__(table, "values", frozen(np.array(table.values)))
+
+
+@dataclass(frozen=True)
 class CharTable:
-    """chi(w) = tr[rho G(w)] on V_{2n}(p), in index-code order."""
+    """chi(w) = tr[rho G(w)] on V_{2n}(p), in index-code order; holds a
+    read-only copy of the values it is given."""
 
     p: int
     n: int
     convention: str
     values: np.ndarray
+
+    __post_init__ = _read_only_copy
 
     def value(self, w: Sequence[int]) -> complex:
         return complex(self.values[index_code(self.p, w)])
 
-    @property
+    @functools.cached_property
     def kernel(self) -> WignerKernel:
         return wigner_kernel(self.p, self.n, self.convention)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WignerTable:
-    """W(v) on V_{2n}(p) in index-code order; real for Hermitian inputs."""
+    """W(v) on V_{2n}(p) in index-code order; real for Hermitian inputs.
+    Holds a read-only copy of the values it is given, and the marginal totals
+    of each class once that class has been asked for."""
 
     p: int
     n: int
     convention: str
     values: np.ndarray
+    # alpha -> complex totals of W over the rows of coset_table(alpha)
+    _totals: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    __post_init__ = _read_only_copy
 
     def value(self, v: Sequence[int]) -> complex:
         return complex(self.values[index_code(self.p, v)])
 
-    @property
+    @functools.cached_property
     def kernel(self) -> WignerKernel:
         return wigner_kernel(self.p, self.n, self.convention)
 
@@ -259,6 +290,17 @@ class WignerTable:
         if np.abs(self.values.imag).max() > tol:
             raise ValueError("table has non-negligible imaginary part")
         return self.values.real
+
+    def _class_totals(self, alpha: int) -> np.ndarray:
+        """Sums of W over the p^n shifted subspaces of class alpha, in
+        little-endian outcome code order; gathered once per class."""
+        k = self.kernel
+        k.geom.check_label(alpha)
+        totals = self._totals.get(alpha)
+        if totals is None:
+            totals = frozen(self.values[k.coset_table(alpha)].sum(axis=1))
+            self._totals[alpha] = totals
+        return totals
 
 
 def char_function(
@@ -296,21 +338,18 @@ def a_operator(p: int, n: int, u: Sequence[int], convention: Optional[str] = Non
 def marginal_along(wt: WignerTable, alpha: int, s: Sequence[int]) -> float:
     """Sum of W over the shifted isotropic subspace with outcome vector s;
     equals tr[rho P_alpha(s)]."""
-    k = wt.kernel
-    if len(s) != k.n or not all(float(c).is_integer() for c in s):
-        raise ValueError(f"{s} is not an outcome vector of V_{k.n}({k.p})")
-    scode = sum((int(sj) % k.p) * k.p**j for j, sj in enumerate(s))
-    total = complex(wt.values[k.coset_table(alpha)[scode]].sum())
+    totals = wt._class_totals(alpha)
+    total = totals[wt.kernel.outcome_code(s)]
     if abs(total.imag) > 1e-8:
         raise ValueError("marginal of a non-Hermitian table is not a probability")
-    return total.real
+    return float(total.real)
 
 
 def class_marginals(wt: WignerTable, alpha: int) -> np.ndarray:
     """All p^n marginals of one class, in the big-endian outcome order of
     class_vectors and full_mub: entry code(s) is marginal_along(wt, alpha, s)."""
     k = wt.kernel
-    totals = wt.values[k.coset_table(alpha)].sum(axis=1)
+    totals = wt._class_totals(alpha)
     if np.any(np.abs(totals.imag) > 1e-8):  # a NaN passes, and fails the caller's check
         raise ValueError("marginals of a non-Hermitian table are not probabilities")
     return totals.real[_reversal(k.p, k.n)]
@@ -462,7 +501,20 @@ def wigner_partial_transpose(wt: WignerTable) -> WignerTable:
 class PositivityResult:
     positive: bool
     min_eigenvalue: float
-    witness: Optional[dict]  # spin coefficients of B with tr(rho B B^dagger) < 0
+    p: int
+    n: int
+    # unit eigenvector of the most negative eigenvalue; None when positive
+    eigenvector: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @functools.cached_property
+    def witness(self) -> Optional[dict]:
+        """Spin coefficients of B = |phi><phi|, built when first read:
+        tr(rho B B^dagger) < 0 for phi the eigenvector; None when positive."""
+        if self.eigenvector is None:
+            return None
+        phi = self.eigenvector
+        coeffs = spin_decompose(np.outer(phi, phi.conj()), self.p, self.n)
+        return {idx: c / self.p**self.n for idx, c in coeffs.items()}
 
 
 def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> PositivityResult:
@@ -476,12 +528,8 @@ def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> 
     vals, vecs = np.linalg.eigh(rho)
     lam = float(vals[0])
     if lam >= -tol:
-        return PositivityResult(True, lam, None)
-    phi = vecs[:, 0]
-    B = np.outer(phi, phi.conj())
-    coeffs = spin_decompose(B, p, n)
-    witness = {idx: c / p**n for idx, c in coeffs.items()}
-    return PositivityResult(False, lam, witness)
+        return PositivityResult(True, lam, p, n)
+    return PositivityResult(False, lam, p, n, vecs[:, 0].copy())
 
 
 # ---------------------------------------------------------------------------

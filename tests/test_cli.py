@@ -51,6 +51,76 @@ def test_resolve_state_shorthands():
         resolve_state({"bogus": 1}, 3, 1)
 
 
+@pytest.mark.parametrize("cmd", ["wigner", "check", "evolve"])
+@pytest.mark.parametrize("state", [{"alpha": 1.5, "s": [0]}, {"alpha": [1.7], "s": [0]},
+                                   {"alpha": 1, "s": [0.5]}])
+def test_cli_rejects_non_integer_state_labels(tmp_path, capsys, cmd, state):
+    path = write_json(tmp_path / "s.json", state)
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(np.eye(3)))
+    extra = ["--hamiltonian", hfile] if cmd == "evolve" else []
+    out = tmp_path / "out.json"
+    assert main([cmd, "--p", "3", "--n", "1", "--input", path, *extra, "--out", str(out)]) == 2
+    assert "not an" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_random_state_follows_the_seed():
+    a = resolve_state({"random": "density"}, 3, 2, 7)
+    assert np.array_equal(a, resolve_state({"random": "density"}, 3, 2, np.random.default_rng(7)))
+    assert np.array_equal(a, random_density(9, np.random.default_rng(7)))
+    assert not np.array_equal(a, resolve_state({"random": "density"}, 3, 2, 8))
+    assert np.array_equal(resolve_state({"random": "pure"}, 3, 1),
+                          resolve_state({"random": "pure"}, 3, 1, 0))
+
+
+def test_cli_random_state_follows_seed(tmp_path):
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    outs = []
+    for k, seed in enumerate(["7", "7", "8"]):
+        out = tmp_path / f"w{k}"
+        argv = ["wigner", "--p", "3", "--n", "1", "--input", state, "--seed", seed,
+                "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        outs.append((tmp_path / f"w{k}.json").read_text())
+    assert outs[0] == outs[1] != outs[2]
+    want = wigner_function(random_density(3, np.random.default_rng(7)), 3, 1, "plain")
+    assert np.array_equal(wigner_table_from_json(json.loads(outs[0])).values, want.values.real)
+
+
+def test_cli_imports_numpy_random_only_for_random_inputs(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import mubwigner
+
+    src = os.path.dirname(os.path.dirname(mubwigner.__file__))
+    proj = write_json(tmp_path / "p.json", {"alpha": [1], "s": [0]})
+    rand = write_json(tmp_path / "r.json", {"random": "density"})
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(np.eye(3)))
+    runs = {
+        ("wigner", proj): False,
+        ("evolve", proj): False,
+        ("check", proj): True,  # the default checks include plancherel's random sigma
+        ("wigner", rand): True,
+    }
+    code = ("import sys; from mubwigner.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    for (cmd, state), imported in runs.items():
+        extra = ["--hamiltonian", hfile] if cmd == "evolve" else []
+        argv = [cmd, "--p", "3", "--n", "1", "--input", state, *extra,
+                "--out", str(tmp_path / f"{cmd}.out")]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split()[-2:] == ["0", str(imported)]
+    argv = ["check", "--p", "3", "--n", "1", "--input", proj, "--checks", "marginals,positivity",
+            "--out", str(tmp_path / "c.json")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_wigner_table_json_round_trip(rng):
     wt = wigner_function(random_density(9, rng), 3, 2, "separable")
     data = wigner_table_to_json(wt)

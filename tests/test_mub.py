@@ -212,3 +212,41 @@ def test_mub_paths_build_no_dense_operator(monkeypatch, tmp_path):
     argv = ["check", "--p", "3", "--n", "2", "--input", str(state), "--checks", "marginals",
             "--out", str(tmp_path / "check.json")]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("s", [(0.5,), (float("nan"),), (1, 0), ()])
+def test_mub_projector_rejects_non_outcomes(s):
+    with pytest.raises(ValueError, match="outcome vector"):
+        mub_projector(phase_geometry(3, 1), 1, s)
+
+
+def test_mub_projector_reduces_integer_valued_outcomes():
+    geom = phase_geometry(3, 2)
+    want = mub_projector(geom, 4, (1, 2))
+    for s in [(1.0, 2), (4, -1), (np.int64(1), np.float64(2.0))]:
+        P = mub_projector(geom, 4, s)
+        assert P.s == (1, 2) and all(type(c) is int for c in P.s)
+        assert np.array_equal(P.vector, want.vector)
+
+
+@pytest.mark.parametrize("state", [
+    {"alpha": 1.5, "s": [0]},
+    {"alpha": [1.7], "s": [0]},
+    {"alpha": 1, "s": [0.5]},
+    {"alpha": float("nan"), "s": [0]},
+])
+def test_state_shorthand_rejects_non_integers(state):
+    from mubwigner.serialize import resolve_state
+
+    with pytest.raises(ValueError):
+        resolve_state(state, 3, 1)
+
+
+def test_state_shorthand_accepts_integer_valued_labels():
+    from mubwigner.serialize import resolve_state
+
+    geom = phase_geometry(3, 2)
+    want = mub_projector(geom, 5, (0, 2)).matrix
+    # alpha 5 = 2 + 1*3: little-endian digits [2, 1]
+    for alpha in (5, 5.0, [2, 1], [2.0, 1], [-1, 4]):
+        assert np.array_equal(resolve_state({"alpha": alpha, "s": [0, 2.0]}, 3, 2), want)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,7 +10,8 @@ from conftest import SIGMA, random_hermitian
 from dense_oracle import DenseKernel, ft_matrix, kernel_op, kernel_ops, outcome_codes, spin_stack
 from mubwigner.fields import is_prime, prime_inverse
 from mubwigner.geometry import phase_geometry
-from mubwigner.mub import mub_projector
+from mubwigner.mub import class_vectors, mub_projector
+from mubwigner import wigner as wigner_mod
 from mubwigner.spins import (
     PhasedOperator,
     eta,
@@ -22,6 +24,7 @@ from mubwigner.wigner import (
     CONVENTIONS,
     CharTable,
     ConventionError,
+    WignerTable,
     a_operator,
     char_from_wigner,
     char_function,
@@ -430,6 +433,120 @@ def test_class_marginals_follow_the_outcome_order(p, n, conv, rng):
         class_marginals(wigner_function(1j * np.diag(np.arange(1, p**n + 1)), p, n, conv), 0)
 
 
+# the generator-route cases: every one but the closed-form p=2 dynamics kernel
+MARGINAL_CASES = [c for c in COSET_CASES if c[0] != 2 or c[1] == 1 or c[2] != "dynamics"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=st.sampled_from(MARGINAL_CASES), data=st.data())
+def test_marginal_along_property(case, data):
+    p, n, conv = case
+    d = p**n
+    alpha = data.draw(st.integers(0, d), label="alpha")
+    s = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), label="s"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rho = random_density(d, rng)
+    wt = wigner_function(rho, p, n, conv)
+    k = wt.kernel
+    got = marginal_along(wt, alpha, s)
+    code = sum(c * p**j for j, c in enumerate(s))  # little-endian: the coset row
+    assert np.array_equal(got, wt.values[k.coset_table(alpha)[code]].sum().real)
+    # class_marginals is in big-endian order, like class_vectors
+    assert got == class_marginals(wt, alpha)[k.code(s)]
+    psi = class_vectors(k.geom, alpha)[k.code(s)]
+    assert abs(got - (psi.conj() @ rho @ psi).real) < TOL
+
+
+@pytest.mark.parametrize("cls", [WignerTable, CharTable])
+def test_tables_are_read_only(cls, rng):
+    given_values = rng.normal(size=9) + 1j * rng.normal(size=9)
+    table = cls(3, 1, "plain", given_values)
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.values = np.zeros(9)
+    # the table holds a copy: the caller's array stays writable and its own
+    given_values[0] = 7.0
+    assert given_values.flags.writeable
+    assert table.values[0] != 7.0
+
+
+def test_built_tables_are_read_only(rng):
+    wt = wigner_function(random_density(9, rng), 3, 2, "separable")
+    chi = char_from_wigner(wt)
+    for a in (wt.values, chi.values, wigner_mod.wigner_partial_transpose(wt).values):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_marginal_checks_hold_after_caching(rng):
+    p, n = 3, 2
+    d = p**n
+    wt = wigner_function(random_density(d, rng), p, n, "separable")
+    want = marginal_along(wt, 2, (1, 0))
+    class_marginals(wt, 2)
+    for bad in (2.0, -1, d + 1, np.float64(2), "2", None):
+        with pytest.raises(ValueError, match="class label"):
+            marginal_along(wt, bad, (1, 0))
+        with pytest.raises(ValueError, match="class label"):
+            class_marginals(wt, bad)
+    for s in [(0,), (0, 0, 2), (1.5, 0), (float("nan"), 0), (np.float64(0.5), 1)]:
+        with pytest.raises(ValueError, match="outcome vector"):
+            marginal_along(wt, 2, s)
+    # integer-valued entries of any type, reduced mod p
+    for s in [(1.0, 0), (np.int64(1), 0), [1, 0], np.array([1, 0]), (p + 1, -p), (True, False)]:
+        assert marginal_along(wt, 2, s) == want
+    assert marginal_along(wt, np.int64(2), (1, 0)) == want
+
+
+def test_non_hermitian_rule_is_per_outcome(rng):
+    p, n = 3, 2
+    d = p**n
+    geom = phase_geometry(p, n)
+    s0 = (2, 1)
+    # tr[P_0(s0) P_0(s)] = delta, so only outcome s0 of class 0 picks up i;
+    # every outcome of every other class picks up i/d
+    A = random_density(d, rng) + 1j * mub_projector(geom, 0, s0).matrix
+    wt = wigner_function(A, p, n, "separable")
+    for s in itertools.product(range(p), repeat=n):
+        if s == s0:
+            with pytest.raises(ValueError, match="non-Hermitian"):
+                marginal_along(wt, 0, s)
+        else:
+            assert isinstance(marginal_along(wt, 0, s), float)
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            marginal_along(wt, 1, s)
+    for alpha in (0, 1, d):
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            class_marginals(wt, alpha)
+
+
+def test_marginals_gather_each_class_once(monkeypatch, rng):
+    p, n = 7, 2
+    d = p**n
+    wt = wigner_function(random_density(d, rng), p, n, "separable")
+    k = wt.kernel
+    reads = []
+    table = k.coset_table
+    monkeypatch.setattr(k, "coset_table", lambda alpha: reads.append(alpha) or table(alpha))
+    outcomes = list(itertools.product(range(p), repeat=n))
+    probs = [[marginal_along(wt, alpha, s) for s in outcomes] for alpha in range(d + 1)]
+    assert len(outcomes) * (d + 1) == 2450
+    assert sorted(reads) == list(range(d + 1))
+    # class_marginals reads the same totals
+    for alpha in range(d + 1):
+        assert np.array_equal(class_marginals(wt, alpha), probs[alpha])
+    assert len(reads) == d + 1
+
+
+def test_marginals_keep_the_p2_dynamics_refusal(rng):
+    wt = wigner_function(random_density(4, rng), 2, 2, "dynamics")
+    with pytest.raises(ConventionError):
+        marginal_along(wt, 0, (0, 0))
+    with pytest.raises(ConventionError):
+        class_marginals(wt, 0)
+
+
 @pytest.mark.parametrize("p,n,conv", A_CASES)
 def test_marginals_match_projector_probabilities(p, n, conv, rng):
     d = p**n
@@ -578,6 +695,24 @@ def test_positivity_check_finds_witness(rng):
     val = np.trace(rho @ B @ B.conj().T).real
     assert val < -0.1
     assert abs(val - res.min_eigenvalue) < TOL
+
+
+def test_positivity_witness_is_built_when_read(monkeypatch, rng):
+    p, n = 3, 2
+    P = mub_projector(phase_geometry(p, n), 4, (1, 2)).matrix
+    rho = 1.5 * np.eye(p**n) / p**n - 0.5 * P
+    calls = []
+    decompose = wigner_mod.spin_decompose
+    monkeypatch.setattr(wigner_mod, "spin_decompose", lambda *a: calls.append(a) or decompose(*a))
+    res = positivity_check(rho, p, n)
+    assert not res.positive and calls == []
+    # the eager formula: spin coefficients of |phi><phi| over p^n
+    phi = np.linalg.eigh(rho)[1][:, 0]
+    want = {idx: c / p**n for idx, c in decompose(np.outer(phi, phi.conj()), p, n).items()}
+    assert res.witness == want
+    assert res.witness is res.witness and len(calls) == 1
+    pos = positivity_check(random_density(p**n, rng), p, n)
+    assert pos.positive and pos.witness is None and len(calls) == 1
 
 
 def test_positivity_check_agrees_with_eigen_oracle(rng):
