@@ -204,10 +204,9 @@ def _check_state(args, rho, conv) -> dict:
     if "pt" in requested:
         if n != 2:
             raise ValueError("the pt check needs n=2")
-        pt_conv = conv if conv in ("separable", "p2-left", "p2-right") else None
-        if pt_conv is None:
+        if conv not in ("separable", "p2-left", "p2-right"):
             raise ValueError("pt check needs a separability convention")
-        wpt = wigner_partial_transpose(wigner_function(rho, p, n, pt_conv))
+        wpt = wigner_partial_transpose(wt)
         lam = float(np.linalg.eigvalsh(reconstruct_density(wpt))[0])
         results["pt"] = {"min_eigenvalue": lam, "passed": lam >= -tol}
     return results

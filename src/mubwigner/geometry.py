@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import FieldElement, GaloisField, FieldError, make_extension
-from .spins import frozen, index_code
+from .spins import _digits, frozen, index_code
 
 
 def symplectic(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
@@ -44,17 +44,6 @@ def vector_symplectic(u: Sequence[int], v: Sequence[int], p: int) -> int:
     for b in range(len(u) // 2):
         acc += u[2 * b + 1] * v[2 * b] - u[2 * b] * v[2 * b + 1]
     return acc % p
-
-
-def _digits(p: int, n: int) -> np.ndarray:
-    """All vectors of V_n(p), shape (p^n, n), in big-endian code order."""
-    return np.indices((p,) * n).reshape(n, -1).T
-
-
-def _reversal(p: int, n: int) -> np.ndarray:
-    """Entry c is the little-endian code of the vector whose big-endian code
-    is c, and the other way round: digit reversal is its own inverse."""
-    return np.arange(p**n).reshape((p,) * n).T.ravel()
 
 
 def _span(gens, p: int) -> np.ndarray:

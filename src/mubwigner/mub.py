@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import is_prime, FieldError
-from .geometry import PhaseGeometry, _digits, _span, phase_geometry
-from .spins import frozen, index_code, unit_phases
+from .geometry import PhaseGeometry, _span, phase_geometry
+from .spins import _digits, frozen, index_code, unit_phases
 
 UNBIASED_TOL = 1e-10
 

@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .geometry import _digits, phase_geometry
+from .geometry import phase_geometry
 from .mub import MubProjector, class_members, mub_projector
-from .spins import index_code
+from .spins import _digits, index_code
 from .wigner import CharTable, WignerTable, random_density, random_pure_density
 
 

@@ -179,9 +179,14 @@ def tensor_spin(p: int, iv: tuple) -> np.ndarray:
     return phased_spin(p, tuple(iv)).matrix()
 
 
+def _digits(p: int, n: int) -> np.ndarray:
+    """All vectors of V_n(p), shape (p^n, n), in big-endian code order."""
+    return np.indices((p,) * n).reshape(n, -1).T
+
+
 def all_index_vectors(p: int, n: int) -> np.ndarray:
     """All p^{2n} vectors of V_{2n}(p), in lexicographic (big-endian) order."""
-    return np.indices((p,) * (2 * n)).reshape(2 * n, -1).T.copy()
+    return _digits(p, 2 * n).copy()
 
 
 def index_code(p: int, iv):

@@ -24,11 +24,13 @@ Wigner tables are the symplectic Fourier transform of characteristic tables,
 W(v) = p^{-2n} sum_w eta^{v o w} chi(w), computed with FFTs over the 2n axes
 of V_{2n}(p); conventions differ only by the kernel phases. Marginals
 over shifted isotropic subspaces reproduce the MUB outcome probabilities in
-every convention. The kernel lists the points of each shifted subspace in a
-per-class coset table; a Wigner table sums its values over the rows of one
-class's coset table the first time that class is asked for and keeps the
-totals, so every later marginal of the class is a lookup. Tables are
-immutable: each holds a read-only copy of its values.
+every convention. Those line sums are the Fourier slice of chi: on the
+subspace of class alpha, tr[rho P_alpha(s)] = p^{-n} sum_b
+eta^{(s - r(alpha)).b} chi(sum_r b_r g_r(alpha)), so all (p^n + 1) p^n
+marginals of a table are one inverse FFT over the n digits of b, taken the
+first time any marginal is asked for and kept, in the big-endian outcome order
+of class_vectors. Tables are immutable: each holds a read-only copy of its
+values, and equality and hashing go by identity.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import FieldError, is_prime, prime_inverse
-from .geometry import PhaseGeometry, _digits, _reversal, phase_geometry
+from .geometry import PhaseGeometry, phase_geometry
 from .mub import class_vectors, member_phases
-from .spins import frozen, index_code, spin_basis, spin_decompose, unit_phases
+from .spins import _digits, frozen, index_code, spin_basis, spin_decompose, unit_phases
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
 ZERO_TOL = 1e-10
@@ -97,7 +99,6 @@ class WignerKernel:
         self._neg_perm = frozen(index_code(p, -self.vectors))
         self._axes = (tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2)))  # x, y
         self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
-        self._cosets: dict[int, np.ndarray] = {}
         self._a_stack: Optional[np.ndarray] = None
 
     # -- construction ---------------------------------------------------------
@@ -144,53 +145,23 @@ class WignerKernel:
 
     # -- derived tables ---------------------------------------------------------
 
-    def coset_table(self, alpha: int) -> np.ndarray:
-        """Row s (little-endian outcome code sum_j s_j p^j) lists the p^n codes
-        of the points u whose shifted outcome (u o g_j(alpha) + r_j(alpha))_j
-        is s: the translate of the alpha subspace that W is summed over."""
-        if self.shifts is None:
-            raise ConventionError(
-                "no generator-route shifts exist for this convention"
-            )
-        gens = self.geom.generators(alpha)
-        if alpha not in self._cosets:
-            p, n, d = self.p, self.n, self.dim
-            free = _digits(p, n)  # the coordinates left free along the subspace
-            r = self.shifts[alpha]
-            # big-endian place values of the interleaved (x_0, y_0, x_1, ...)
-            place = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-            px, py = place[0::2], place[1::2]
-            t = np.arange(p)[:, None]  # the outcome digit s_j
-            if alpha < d:
-                # u o g_j = y_j - (A x)_j with A = gy(alpha): y = s + A x - r
-                c = (free @ gens[:, 1::2].T - r) % p
-                table, terms = free @ px, [((t + c[:, j]) % p) * py[j] for j in range(n)]
-            else:
-                # u o g_j = -x_j on the vertical class: x = r - s, y free
-                table, terms = free @ py, [((r[j] - t) % p) * px[j] for j in range(n)]
-            # each digit adds its place value on its own axis; s_j runs along
-            # axis n - 1 - j, so rows come out in little-endian outcome code
-            for j, term in enumerate(terms):
-                table = table + term.reshape((p,) + (1,) * j + (-1,))
-            self._cosets[alpha] = frozen(table.reshape(d, d))
-        return self._cosets[alpha]
-
     def a_stack(self) -> np.ndarray:
-        """All A operators: A(u) = (1/p^n)(-I + sum_alpha P_alpha(outcomes))."""
+        """All A operators: A(u) = (1/p^n)(-I + sum_alpha P_alpha(s)), with
+        s_j = u o g_j(alpha) + r_j(alpha) the outcome of u's line in class alpha."""
         if self._a_stack is None:
             if self.shifts is None:
                 raise ConventionError(
                     "A operators need a generator-route convention"
                 )
-            d = self.dim
-            rev = _reversal(self.p, self.n)
+            p, d = self.p, self.dim
+            x, y = self.vectors[:, 0::2], self.vectors[:, 1::2]
             stack = np.zeros((self.N, d, d), dtype=complex)
             stack -= np.eye(d)
-            for alpha in range(self.geom.num_classes):
-                # vector rows are in big-endian outcome order, coset rows
-                # little-endian: the digit reversal maps one to the other
-                V = class_vectors(self.geom, alpha)[rev]
-                stack[self.coset_table(alpha)] += np.einsum("si,sj->sij", V, V.conj())[:, None]
+            for alpha, g in enumerate(self.geom.gens):
+                # u o g_j = y.gx_j - x.gy_j; vector rows are in big-endian outcome order
+                s = index_code(p, y @ g[:, 0::2].T - x @ g[:, 1::2].T + self.shifts[alpha])
+                V = class_vectors(self.geom, alpha)
+                stack += np.einsum("si,sj->sij", V, V.conj())[s]
             self._a_stack = frozen(stack / d)
         return self._a_stack
 
@@ -221,13 +192,12 @@ class WignerKernel:
 
     @functools.cached_property
     def outcome_codes(self) -> dict[tuple, int]:
-        """Outcome vector s (entries in 0..p-1) -> its little-endian code
-        sum_j s_j p^j, the coset-table row of s."""
-        little = _digits(self.p, self.n)[:, ::-1].tolist()
-        return dict(zip(map(tuple, little), range(self.dim)))
+        """Outcome vector s (entries in 0..p-1) -> its big-endian code, the
+        order of class_vectors and of the marginals."""
+        return dict(zip(map(tuple, _digits(self.p, self.n).tolist()), range(self.dim)))
 
     def outcome_code(self, s: Sequence[int]) -> int:
-        """Little-endian code of s; entries reduce mod p. Raises ValueError
+        """Big-endian code of s; entries reduce mod p. Raises ValueError
         unless s has n integer-valued entries."""
         code = self.outcome_codes.get(tuple(s))
         if code is None:
@@ -244,10 +214,11 @@ def _read_only_copy(table) -> None:
     object.__setattr__(table, "values", frozen(np.array(table.values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharTable:
     """chi(w) = tr[rho G(w)] on V_{2n}(p), in index-code order; holds a
-    read-only copy of the values it is given."""
+    read-only copy of the values it is given. Equality and hashing go by
+    identity."""
 
     p: int
     n: int
@@ -264,18 +235,16 @@ class CharTable:
         return wigner_kernel(self.p, self.n, self.convention)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerTable:
     """W(v) on V_{2n}(p) in index-code order; real for Hermitian inputs.
-    Holds a read-only copy of the values it is given, and the marginal totals
-    of each class once that class has been asked for."""
+    Holds a read-only copy of the values it is given, and all its marginals
+    once any has been asked for. Equality and hashing go by identity."""
 
     p: int
     n: int
     convention: str
     values: np.ndarray
-    # alpha -> complex totals of W over the rows of coset_table(alpha)
-    _totals: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     __post_init__ = _read_only_copy
 
@@ -291,16 +260,21 @@ class WignerTable:
             raise ValueError("table has non-negligible imaginary part")
         return self.values.real
 
-    def _class_totals(self, alpha: int) -> np.ndarray:
-        """Sums of W over the p^n shifted subspaces of class alpha, in
-        little-endian outcome code order; gathered once per class."""
+    @functools.cached_property
+    def _marginals(self) -> np.ndarray:
+        """[alpha, code(s)] = sum of W over the line of class alpha with
+        outcome s: the inverse DFT over b of eta^{-r(alpha).b} chi(sum_r b_r
+        g_r(alpha)), complex, read-only, in big-endian outcome order."""
         k = self.kernel
-        k.geom.check_label(alpha)
-        totals = self._totals.get(alpha)
-        if totals is None:
-            totals = frozen(self.values[k.coset_table(alpha)].sum(axis=1))
-            self._totals[alpha] = totals
-        return totals
+        if k.shifts is None:
+            raise ConventionError(
+                "no generator-route shifts exist for this convention"
+            )
+        p, n, d = k.p, k.n, k.dim
+        chi = k.inverse_symplectic_ft(self.values)[k.geom.codes]
+        chi *= unit_phases(p, -k.shifts @ _digits(p, n).T)
+        lines = np.fft.ifftn(chi.reshape((d + 1,) + (p,) * n), axes=range(1, n + 1))
+        return frozen(lines.reshape(d + 1, d))
 
 
 def char_function(
@@ -336,10 +310,12 @@ def a_operator(p: int, n: int, u: Sequence[int], convention: Optional[str] = Non
 
 
 def marginal_along(wt: WignerTable, alpha: int, s: Sequence[int]) -> float:
-    """Sum of W over the shifted isotropic subspace with outcome vector s;
-    equals tr[rho P_alpha(s)]."""
-    totals = wt._class_totals(alpha)
-    total = totals[wt.kernel.outcome_code(s)]
+    """Sum of W over the line of class alpha with outcome vector s (a
+    shifted isotropic subspace); equals tr[rho P_alpha(s)]. The first call on
+    a table computes every marginal at once; later calls are lookups."""
+    k = wt.kernel
+    k.geom.check_label(alpha)
+    total = wt._marginals[alpha, k.outcome_code(s)]
     if abs(total.imag) > 1e-8:
         raise ValueError("marginal of a non-Hermitian table is not a probability")
     return float(total.real)
@@ -347,12 +323,13 @@ def marginal_along(wt: WignerTable, alpha: int, s: Sequence[int]) -> float:
 
 def class_marginals(wt: WignerTable, alpha: int) -> np.ndarray:
     """All p^n marginals of one class, in the big-endian outcome order of
-    class_vectors and full_mub: entry code(s) is marginal_along(wt, alpha, s)."""
-    k = wt.kernel
-    totals = wt._class_totals(alpha)
+    class_vectors and full_mub: entry code(s) is marginal_along(wt, alpha, s).
+    A read-only view of the table's marginals."""
+    wt.kernel.geom.check_label(alpha)
+    totals = wt._marginals[alpha]
     if np.any(np.abs(totals.imag) > 1e-8):  # a NaN passes, and fails the caller's check
         raise ValueError("marginals of a non-Hermitian table are not probabilities")
-    return totals.real[_reversal(k.p, k.n)]
+    return totals.real
 
 
 def density_from_char(chi: CharTable) -> np.ndarray:

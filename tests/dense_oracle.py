@@ -74,14 +74,15 @@ def commuting_class(geom, alpha):
 
 
 def outcome_codes(kernel, alpha):
-    """Per index vector u, the little-endian code of the shifted outcome
-    (u o g_j(alpha) + r_j(alpha))_j, from all N symplectic products."""
+    """Per index vector u, the big-endian code of the shifted outcome
+    (u o g_j(alpha) + r_j(alpha))_j, from all N symplectic products: the
+    line of class alpha through u, in the outcome order of class_vectors."""
     gens = kernel.geom.gens[alpha]
     X, Y = kernel.vectors[:, 0::2], kernel.vectors[:, 1::2]
     gX, gY = gens[:, 0::2], gens[:, 1::2]
     symp = Y @ gX.T - X @ gY.T  # [u, j] = u o g_j(alpha)
     shifted = (symp + kernel.shifts[alpha]) % kernel.p
-    return shifted @ kernel.p ** np.arange(kernel.n)
+    return shifted @ kernel.p ** np.arange(kernel.n - 1, -1, -1)
 
 
 def kernel_ops(kernel):

@@ -372,6 +372,28 @@ def test_cli_check_entangled_pt_fails(tmp_path):
     assert rep["checks"]["pt"]["min_eigenvalue"] < -0.1
 
 
+def test_cli_check_pt_builds_the_table_once(tmp_path, monkeypatch, capsys):
+    from mubwigner import cli
+
+    calls = []
+    build = cli.wigner_function
+    monkeypatch.setattr(cli, "wigner_function", lambda *a: calls.append(a) or build(*a))
+    state = write_json(tmp_path / "ent.json", matrix_to_json(max_entangled_density(3)))
+    rc = main(
+        ["check", "--p", "3", "--n", "2", "--input", state,
+         "--checks", "pt", "--out", str(tmp_path / "rep.json")]
+    )
+    assert rc == 1
+    assert len(calls) == 1
+    # the check still refuses a convention without a partial-transpose action
+    rc = main(
+        ["check", "--p", "3", "--n", "2", "--input", state, "--convention", "plain",
+         "--checks", "pt", "--out", str(tmp_path / "rep.json")]
+    )
+    assert rc == 2
+    assert "pt check needs a separability convention" in capsys.readouterr().err
+
+
 def test_cli_check_unknown_check(tmp_path, rng):
     state = write_json(tmp_path / "s.json", matrix_to_json(random_density(3, rng)))
     rc = main(

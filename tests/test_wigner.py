@@ -354,7 +354,10 @@ def test_cached_arrays_are_read_only(p, n, conv):
     k = wigner_kernel(p, n, conv)
     for a in (k.basis.vectors, k.basis._diag, k.phases, k.eta_exp, k.i_exp, k.shifts,
               k.geom.gens, k.geom._class_of, k.geom._b_code, k._neg_perm,
-              k.geom.codes, k.coset_table(0), k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv)):
+              k.geom.codes, k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv)):
+        _assert_read_only(a)
+    wt = wigner_function(np.eye(p**n) / p**n, p, n, conv)
+    for a in (wt._marginals, class_marginals(wt, 0)):
         _assert_read_only(a)
 
 
@@ -373,19 +376,24 @@ COSET_CASES = [(p, n, conv) for p in range(2, 82) if is_prime(p) for n in range(
 
 
 @pytest.mark.parametrize("p,n,conv", COSET_CASES)
-def test_coset_tables_match_outcome_formula(p, n, conv):
-    k = wigner_kernel(p, n, conv)
+def test_coset_tables_match_outcome_formula(p, n, conv, rng):
+    # the Fourier slice of chi against W summed point by point over the
+    # cosets of each class subspace, binned by each point's outcome code; a
+    # non-Hermitian input keeps the imaginary parts in the comparison
     d = p**n
+    wt = wigner_function(random_density(d, rng) + 1j * random_density(d, rng), p, n, conv)
+    k = wt.kernel
     if k.shifts is None:  # the p=2 closed-form dynamics kernel has no shifts
         with pytest.raises(ConventionError):
-            k.coset_table(0)
+            wt._marginals
         return
+    assert wt._marginals.shape == (d + 1, d)
     for alpha in range(d + 1):
-        table = k.coset_table(alpha)
-        assert table.shape == (d, d)
-        # each point sits in exactly one row, the row of its outcome code
-        assert np.array_equal(np.sort(table, axis=None), np.arange(k.N))
-        assert np.array_equal(outcome_codes(k, alpha)[table], np.repeat(np.arange(d)[:, None], d, 1))
+        codes = outcome_codes(k, alpha)
+        # each outcome's line holds p^n points
+        assert np.array_equal(np.bincount(codes, minlength=d), np.full(d, d))
+        want = np.bincount(codes, wt.values.real, d) + 1j * np.bincount(codes, wt.values.imag, d)
+        assert np.abs(wt._marginals[alpha] - want).max() <= 1e-14
 
 
 def test_a_operator_qubit_closed_form():
@@ -449,8 +457,7 @@ def test_marginal_along_property(case, data):
     wt = wigner_function(rho, p, n, conv)
     k = wt.kernel
     got = marginal_along(wt, alpha, s)
-    code = sum(c * p**j for j, c in enumerate(s))  # little-endian: the coset row
-    assert np.array_equal(got, wt.values[k.coset_table(alpha)[code]].sum().real)
+    assert abs(got - wt.values[outcome_codes(k, alpha) == k.code(s)].sum().real) <= 1e-14
     # class_marginals is in big-endian order, like class_vectors
     assert got == class_marginals(wt, alpha)[k.code(s)]
     psi = class_vectors(k.geom, alpha)[k.code(s)]
@@ -469,6 +476,17 @@ def test_tables_are_read_only(cls, rng):
     given_values[0] = 7.0
     assert given_values.flags.writeable
     assert table.values[0] != 7.0
+
+
+@pytest.mark.parametrize("cls", [WignerTable, CharTable])
+def test_tables_compare_and_hash_by_identity(cls):
+    a = cls(3, 1, "plain", np.arange(9) + 0j)
+    # equal values and different values alike: distinct tables are unequal
+    for b in (cls(3, 1, "plain", np.arange(9) + 0j), cls(3, 1, "plain", np.zeros(9) + 0j)):
+        assert (a == b) is False
+        assert (a != b) is True
+    assert a == a
+    assert {a: "a"}[a] == "a"
 
 
 def test_built_tables_are_read_only(rng):
@@ -527,16 +545,45 @@ def test_marginals_gather_each_class_once(monkeypatch, rng):
     wt = wigner_function(random_density(d, rng), p, n, "separable")
     k = wt.kernel
     reads = []
-    table = k.coset_table
-    monkeypatch.setattr(k, "coset_table", lambda alpha: reads.append(alpha) or table(alpha))
+    slice_ = k.inverse_symplectic_ft
+    monkeypatch.setattr(k, "inverse_symplectic_ft", lambda v: reads.append(1) or slice_(v))
     outcomes = list(itertools.product(range(p), repeat=n))
     probs = [[marginal_along(wt, alpha, s) for s in outcomes] for alpha in range(d + 1)]
     assert len(outcomes) * (d + 1) == 2450
-    assert sorted(reads) == list(range(d + 1))
-    # class_marginals reads the same totals
+    # class_marginals reads the same marginals
     for alpha in range(d + 1):
         assert np.array_equal(class_marginals(wt, alpha), probs[alpha])
-    assert len(reads) == d + 1
+    assert len(reads) == 1
+    # a new table takes its own slice
+    marginal_along(wigner_function(random_density(d, rng), p, n, "separable"), 0, (0, 0))
+    assert len(reads) == 2
+
+
+# every (p, n) with d <= 243, by n, and the generator-route conventions there
+LINE_CASES = {n: [(p, conv) for p in range(2, 244) if is_prime(p) and p**n <= 243
+                  for conv in _valid_conventions(p, n) if p != 2 or n == 1 or conv != "dynamics"]
+              for n in range(1, 8)}
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 7), data=st.data())
+def test_marginals_and_projector_lines_property(n, data):
+    p, conv = data.draw(st.sampled_from(LINE_CASES[n]), label="p, conv")
+    d = p**n
+    alpha = data.draw(st.integers(0, d), label="alpha")
+    s = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), label="s"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rho = random_density(d, rng)
+    wt = wigner_function(rho, p, n, conv)
+    k = wt.kernel
+    V = class_vectors(k.geom, alpha)
+    # the marginals of a class are the probabilities <psi_s|rho|psi_s>
+    assert np.abs(class_marginals(wt, alpha) - ((V.conj() @ rho) * V).sum(axis=1).real).max() < 1e-12
+    # W of the MUB projector P_alpha(s) is p^{-n} on its line and 0 elsewhere
+    psi = V[k.code(s)]
+    W = wigner_function(np.outer(psi, psi.conj()), p, n, conv).values
+    on = outcome_codes(k, alpha) == k.code(s)
+    assert np.abs(W - np.where(on, p**-n, 0.0)).max() < 1e-12
 
 
 def test_marginals_keep_the_p2_dynamics_refusal(rng):
@@ -780,8 +827,7 @@ def test_invariants_beyond_dense_reach(p, n, rng):
     s = tuple(j % p for j in range(n))
     for alpha in (0, 1, d):
         P = mub_projector(k.geom, alpha, s).matrix
-        on = np.zeros(k.N, dtype=bool)
-        on[k.coset_table(alpha)[sum(sj * p**j for j, sj in enumerate(s))]] = True
+        on = outcome_codes(k, alpha) == k.code(s)
         assert on.sum() == d
         W = wigner_function(P, p, n, conv).values
         assert np.abs(W - np.where(on, p**-n, 0.0)).max() < 1e-12
