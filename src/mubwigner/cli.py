@@ -260,6 +260,7 @@ def cmd_evolve(args) -> int:
     trace_drift = float(np.max(trace_drifts))
     purity_drift = float(np.max(purity_drifts))
     report = {
+        "p": args.p, "n": args.n, "convention": chi0.convention,
         "t0": args.t0,
         "t1": args.t1,
         "steps": args.steps,

@@ -6,11 +6,12 @@ constants, so the von Neumann equation drho/dt = -i[H, rho] becomes a linear
 system dchi(w)/dt = -i sum_u L(w,u) chi(u) with L Hermitian and
 L chi_rho = chi_{[H, rho]}: evolution is exp(-iLt) on the table vector.
 That flow is unitary covariance, exp(-iLt) chi_rho = chi_{U rho U^dagger}
-with U = e^{-iHt}, so evolve() never forms L. It recovers rho from the
-table, evolves it in the eigenbasis of the d x d Hamiltonian,
-H = Q diag(lambda) Q^dagger (paid once and cached, O(d^3)), and takes the
-table of rho(t) with the spin-trace transform: O(d^3) per time point, where
-an eigendecomposition of L would cost O(N^3) = O(d^6), N = p^{2n}.
+with U = e^{-iHt}, so evolve() never forms L. It takes rho, the table's
+read-only density, into the eigenbasis of the d x d Hamiltonian
+H = Q diag(lambda) Q^dagger (eigh paid once and cached, O(d^3)) once per
+(table, generator), and each time point costs one spin-trace transform of
+rho(t), O(d^3), where an eigendecomposition of L would cost O(N^3) = O(d^6),
+N = p^{2n}. Evolved tables carry rho(t) as their density.
 GeneratorMatrix.matrix still builds the N x N L, the paper's explicit
 object, on first read; the tests use exp(-iLt) as the oracle for evolve().
 For odd primes the same dynamics transfers to Wigner tables through the
@@ -31,14 +32,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import is_prime, FieldError
-from .spins import eta, frozen, index_code, unit_phases
+from .spins import eta, frozen, index_code, spin_recompose, unit_phases
 from .wigner import (
     CharTable,
     ConventionError,
     WignerTable,
+    _with_density,
     char_function,
     density_from_char,
-    reconstruct_density,
     wigner_kernel,
 )
 
@@ -51,14 +52,16 @@ class UnsupportedDynamicsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """A Hamiltonian with its cached eigendecomposition and, built on first
-    read, the N x N generator L of its table flow; all are read-only."""
+    """A Hamiltonian with its cached eigendecomposition, the last evolved
+    table's density in that eigenbasis and, built on first read, the N x N
+    generator L of its table flow; all are read-only."""
 
     kind: str  # "char" | "wigner"
     p: int
     n: int
     hamiltonian: np.ndarray
     _eig: Optional[tuple] = field(default=None, init=False, repr=False)
+    _rotated: Optional[tuple] = field(default=None, init=False, repr=False)
     _matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -159,9 +162,9 @@ def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
 
 
 def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
-    """Yield (t, table at t, rho(t)) for each t in times. The density of
-    `state` and its rotation Q^dagger rho Q into the eigenbasis of H are
-    computed once for the whole trajectory."""
+    """Yield (t, table at t, rho(t)) for each t in times; each table holds
+    rho(t) as its density. Q^dagger rho Q for the density of `state` is kept
+    on the generator for the last table it was taken for, held by identity."""
     if isinstance(state, CharTable):
         if gen.kind != "char":
             raise ValueError("characteristic tables evolve under a char-space generator")
@@ -178,16 +181,18 @@ def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
         if not np.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
     lam, Q = gen.eig()
-    wigner = isinstance(state, WignerTable)
-    rho = reconstruct_density(state) if wigner else density_from_char(state)
-    rot = Q.conj().T @ rho @ Q
+    memo = gen._rotated
+    if memo is None or memo[0] is not state:
+        memo = (state, frozen(Q.conj().T @ state.density @ Q))
+        object.__setattr__(gen, "_rotated", memo)
     for t in times:
         ph = np.exp(-1j * lam * t)
-        rho_t = Q @ (ph[:, None] * rot * ph.conj()) @ Q.conj().T
+        rho_t = Q @ (ph[:, None] * memo[1] * ph.conj()) @ Q.conj().T
         values = state.kernel.char_values(rho_t)
-        if wigner:
+        if isinstance(state, WignerTable):
             values = state.kernel.symplectic_ft(values)
-        yield t, type(state)(state.p, state.n, state.convention, values), rho_t
+        table = type(state)(state.p, state.n, state.convention, values)
+        yield t, _with_density(table, rho_t), rho_t
 
 
 def evolve(state, gen: GeneratorMatrix, t: float):
@@ -226,6 +231,4 @@ def spin_coeff_bridge(chi: CharTable) -> dict:
 
 def density_from_spin_coeffs(coeffs: dict, p: int, n: int) -> np.ndarray:
     """rho = (1/p^n) sum_u s_u S_u."""
-    from .spins import spin_recompose
-
     return spin_recompose(coeffs, p, n)

@@ -140,22 +140,6 @@ def wigner_table_from_json(data: dict) -> WignerTable:
     return WignerTable(p, n, data["convention"], values)
 
 
-def char_table_to_json(ct: CharTable) -> dict:
-    kern = ct.kernel
-    return {
-        "p": ct.p,
-        "n": ct.n,
-        "convention": ct.convention,
-        "values": [
-            {
-                "w": [int(c) for c in kern.vectors[i]],
-                "chi": [float(ct.values[i].real), float(ct.values[i].imag)],
-            }
-            for i in range(kern.N)
-        ],
-    }
-
-
 def wigner_csv_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:
     """n=1: one p x p grid, rows v1 (top row v1=0), columns v0.
     n=2: one such grid per second-subsystem point, preceded by a comment."""

@@ -29,8 +29,8 @@ subspace of class alpha, tr[rho P_alpha(s)] = p^{-n} sum_b
 eta^{(s - r(alpha)).b} chi(sum_r b_r g_r(alpha)), so all (p^n + 1) p^n
 marginals of a table are one inverse FFT over the n digits of b, taken the
 first time any marginal is asked for and kept, in the big-endian outcome order
-of class_vectors. Tables are immutable: each holds a read-only copy of its
-values, and equality and hashing go by identity.
+of class_vectors. Tables are immutable: each holds read-only copies of its
+values, density and marginals; equality and hashing go by identity.
 """
 
 from __future__ import annotations
@@ -150,9 +150,7 @@ class WignerKernel:
         s_j = u o g_j(alpha) + r_j(alpha) the outcome of u's line in class alpha."""
         if self._a_stack is None:
             if self.shifts is None:
-                raise ConventionError(
-                    "A operators need a generator-route convention"
-                )
+                raise ConventionError("A operators need a generator-route convention")
             p, d = self.p, self.dim
             x, y = self.vectors[:, 0::2], self.vectors[:, 1::2]
             stack = np.zeros((self.N, d, d), dtype=complex)
@@ -214,11 +212,17 @@ def _read_only_copy(table) -> None:
     object.__setattr__(table, "values", frozen(np.array(table.values)))
 
 
+def _with_density(table, rho: np.ndarray):
+    """`table` with rho, the density of its values, cached read-only."""
+    table.__dict__["density"] = frozen(rho)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class CharTable:
     """chi(w) = tr[rho G(w)] on V_{2n}(p), in index-code order; holds a
-    read-only copy of the values it is given. Equality and hashing go by
-    identity."""
+    read-only copy of the values it is given, and its density once asked
+    for. Equality and hashing go by identity."""
 
     p: int
     n: int
@@ -234,12 +238,19 @@ class CharTable:
     def kernel(self) -> WignerKernel:
         return wigner_kernel(self.p, self.n, self.convention)
 
+    @functools.cached_property
+    def density(self) -> np.ndarray:
+        """rho = (1/p^n) sum_w chi(w) G(w)^dagger, computed once, read-only."""
+        k = self.kernel
+        # sum_w chi(w) G(w)^dagger = (sum_w chi(w)^* phi(w) S_w)^dagger
+        return frozen(k.basis.combine(np.conj(self.values) * k.phases).conj().T / k.dim)
+
 
 @dataclass(frozen=True, eq=False)
 class WignerTable:
     """W(v) on V_{2n}(p) in index-code order; real for Hermitian inputs.
-    Holds a read-only copy of the values it is given, and all its marginals
-    once any has been asked for. Equality and hashing go by identity."""
+    Holds a read-only copy of the values it is given, its density and all
+    its marginals once asked for. Equality and hashing go by identity."""
 
     p: int
     n: int
@@ -255,6 +266,11 @@ class WignerTable:
     def kernel(self) -> WignerKernel:
         return wigner_kernel(self.p, self.n, self.convention)
 
+    @functools.cached_property
+    def density(self) -> np.ndarray:
+        """rho = sum_v W(v) A(v), computed once through chi, read-only."""
+        return char_from_wigner(self).density
+
     def real_values(self, tol: float = ZERO_TOL) -> np.ndarray:
         if np.abs(self.values.imag).max() > tol:
             raise ValueError("table has non-negligible imaginary part")
@@ -267,9 +283,7 @@ class WignerTable:
         g_r(alpha)), complex, read-only, in big-endian outcome order."""
         k = self.kernel
         if k.shifts is None:
-            raise ConventionError(
-                "no generator-route shifts exist for this convention"
-            )
+            raise ConventionError("no generator-route shifts exist for this convention")
         p, n, d = k.p, k.n, k.dim
         chi = k.inverse_symplectic_ft(self.values)[k.geom.codes]
         chi *= unit_phases(p, -k.shifts @ _digits(p, n).T)
@@ -333,16 +347,15 @@ def class_marginals(wt: WignerTable, alpha: int) -> np.ndarray:
 
 
 def density_from_char(chi: CharTable) -> np.ndarray:
-    """rho = (1/p^n) sum_w chi(w) G(w)^dagger (valid for any input matrix)."""
-    k = chi.kernel
-    # sum_w chi(w) G(w)^dagger = (sum_w chi(w)^* phi(w) S_w)^dagger
-    return k.basis.combine(np.conj(chi.values) * k.phases).conj().T / k.dim
+    """rho = (1/p^n) sum_w chi(w) G(w)^dagger (valid for any input matrix);
+    the table's read-only density, computed on the first call."""
+    return chi.density
 
 
 def reconstruct_density(wt: WignerTable) -> np.ndarray:
-    """rho = sum_v W(v) A(v), computed through the kernel; exact inverse of
-    the chi -> W pipeline for every convention."""
-    return density_from_char(char_from_wigner(wt))
+    """rho = sum_v W(v) A(v), exact inverse of the chi -> W pipeline for
+    every convention; the table's read-only density, computed on the first call."""
+    return wt.density
 
 
 def plancherel_inner(w1: WignerTable, w2: WignerTable) -> float:
@@ -467,9 +480,7 @@ def wigner_partial_transpose(wt: WignerTable) -> WignerTable:
         raise ConventionError("p=2 partial transpose needs a p2 convention")
     chi = char_from_wigner(wt)
     k = wt.kernel
-    flip = np.where(
-        (k.vectors[:, 2] == 1) & (k.vectors[:, 3] == 1), -1.0, 1.0
-    )
+    flip = np.where((k.vectors[:, 2] == 1) & (k.vectors[:, 3] == 1), -1.0, 1.0)
     chi = CharTable(p, 2, wt.convention, chi.values * flip)
     return wigner_from_char(chi)
 

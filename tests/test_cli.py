@@ -422,6 +422,7 @@ def test_cli_evolve_trajectory(tmp_path):
     assert np.abs(rho0 - mub_projector(geom, 1, (0,)).matrix).max() < 1e-8
     rep = json.loads((tmp_path / "traj.jsonl.report.json").read_text())
     assert rep["trace_drift"] < 1e-8 and rep["purity_drift"] < 1e-8
+    assert (rep["p"], rep["n"], rep["convention"]) == (3, 1, "dynamics")
 
 
 def test_cli_evolve_drifts_keep_nan(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from mubwigner.dynamics import (
     spin_coeff_bridge,
 )
 from mubwigner.fields import prime_inverse
-from mubwigner.spins import eta, index_code, spin_matrix, spin_projector
+from mubwigner.spins import SpinBasis, eta, index_code, spin_matrix, spin_projector
 from mubwigner.wigner import (
     ConventionError,
     char_function,
@@ -240,6 +240,59 @@ def test_trajectory_helper(rng):
         for t, table, rho_t in _trajectory(state, gen, times):
             assert np.abs(rho_t - recover(table)).max() < 1e-12
             assert np.abs(rho_t - direct_evolution(H, rho, t)).max() < EVOLVE_TOL
+
+
+@pytest.mark.parametrize("p,n", ORACLE_CASES)
+def test_evolved_tables_carry_the_density_of_their_values(p, n):
+    # the rho(t) an evolved table is built with cannot drift from the rho a
+    # fresh table of the same values recovers
+    rng = np.random.default_rng([p, n, 2])
+    d = p**n
+    H = random_hermitian(d, rng)
+    chi0 = char_dynamics_table(random_density(d, rng), p, n)
+    routes = [(build_char_generator(H, p, n), chi0)]
+    if p % 2:
+        routes.append((build_wigner_generator(H, p, n), wigner_from_char(chi0)))
+    for gen, state in routes:
+        for t in (0.0, 0.9, -2.5):
+            table = evolve(state, gen, t)
+            fresh = type(table)(p, n, table.convention, table.values)
+            assert np.abs(table.density - fresh.density).max() <= 1e-12
+            assert not table.density.flags.writeable
+
+
+def test_evolve_pays_one_spin_trace_transform_per_time_point(monkeypatch, rng):
+    calls = {"combine": 0, "traces": 0}
+    for name in calls:
+        real = getattr(SpinBasis, name)
+
+        def counted(self, a, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, a)
+
+        monkeypatch.setattr(SpinBasis, name, counted)
+    p, n, K = 3, 2, 5
+    times = np.linspace(-1.0, 3.0, K)
+    H = random_hermitian(9, rng)
+    rhos = [random_density(9, rng) for _ in range(2)]
+    chis = [char_dynamics_table(rho, p, n) for rho in rhos]
+    gen, genw = build_char_generator(H, p, n), build_wigner_generator(H, p, n)
+    routes = [
+        (gen, chis[0], density_from_dynamics_char),
+        (genw, wigner_from_char(chis[0]), reconstruct_density),
+        # a second table on the same generator replaces the first one's rotation
+        (gen, chis[1], density_from_dynamics_char),
+    ]
+    for (g, state, recover), rho in zip(routes, rhos[:1] + rhos):
+        calls.update(combine=0, traces=0)
+        for t in times:
+            got = recover(evolve(state, g, t))
+            assert np.abs(got - hilbert_evolution(H, rho, t)).max() < TOL
+        assert calls["combine"] <= 1 and calls["traces"] == K
+    # rho and its rotation are kept for the last table asked for
+    calls.update(combine=0, traces=0)
+    evolve(chis[1], gen, 0.4)
+    assert calls == {"combine": 0, "traces": 1}
 
 
 def test_spin_coeff_bridge_qubit():

@@ -30,6 +30,7 @@ from mubwigner.wigner import (
     char_function,
     class_marginals,
     default_convention,
+    density_from_char,
     marginal_along,
     plancherel_inner,
     positivity_check,
@@ -495,6 +496,19 @@ def test_built_tables_are_read_only(rng):
     for a in (wt.values, chi.values, wigner_mod.wigner_partial_transpose(wt).values):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+@pytest.mark.parametrize("p,n,conv", [c for c in COSET_CASES if c[0] ** c[1] <= 27])
+def test_table_densities_are_read_only_and_computed_once(p, n, conv, rng):
+    rho = random_density(p**n, rng)
+    chi = char_function(rho, p, n, conv)
+    for table, recover in ((chi, density_from_char), (wigner_from_char(chi), reconstruct_density)):
+        got = recover(table)
+        assert got is recover(table) is table.density
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0
+        assert np.abs(got - rho).max() < 1e-12
 
 
 def test_marginal_checks_hold_after_caching(rng):
