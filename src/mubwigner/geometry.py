@@ -19,6 +19,7 @@ one integer product; no field element is multiplied.
 from __future__ import annotations
 
 import functools
+import reprlib
 from typing import Sequence
 
 import numpy as np
@@ -127,12 +128,29 @@ class PhaseGeometry:
         if not isinstance(alpha, (int, np.integer)) or not 0 <= alpha <= self.dim:
             raise ValueError(f"invalid class label {alpha!r}")
 
+    def _integer_vectors(self, v, length: int, what: str, ndim: int = 1) -> np.ndarray:
+        """v as int64 entries reduced mod p; raises ValueError unless v is one
+        vector (ndim 1) or a stack of vectors (ndim 2) of `length`
+        integer-valued entries."""
+        try:
+            a = np.asarray(v, dtype=float)
+            ok = a.ndim == ndim and a.shape[-1] == length
+            ok = ok and bool(np.all(np.isfinite(a) & (a == np.floor(a))))
+        except (TypeError, ValueError):  # ragged or non-numeric
+            ok = False
+        if not ok:
+            raise ValueError(f"{reprlib.repr(v)} is not {what} of V_{length}({self.p})")
+        return a.astype(np.int64) % self.p
+
     def outcome(self, s: Sequence[int]) -> tuple:
         """s with its entries reduced mod p; raises ValueError unless s has n
         integer-valued entries."""
-        if len(s) != self.n or not all(float(c).is_integer() for c in s):
-            raise ValueError(f"{s} is not an outcome vector of V_{self.n}({self.p})")
-        return tuple(int(c) % self.p for c in s)
+        return tuple(self._integer_vectors(s, self.n, "an outcome vector").tolist())
+
+    def index_vectors(self, w, ndim: int = 1) -> np.ndarray:
+        """w reduced mod p: one index vector, or a stack of them with ndim=2;
+        raises ValueError unless each has 2n integer-valued entries."""
+        return self._integer_vectors(w, 2 * self.n, "an index vector", ndim)
 
     def generators(self, alpha: int) -> np.ndarray:
         """g_0(alpha)..g_{n-1}(alpha), shape (n, 2n); rejects bad labels."""
@@ -141,9 +159,7 @@ class PhaseGeometry:
 
     def decompose(self, w: Sequence[int]) -> tuple[int, tuple]:
         """Solve w = sum_r b_r g_r(alpha) for (alpha, b); w=0 maps to b=0."""
-        if len(w) != 2 * self.n or any(c != int(c) for c in w):
-            raise ValueError(f"{w} is not an index vector of V_{2*self.n}({self.p})")
-        code = index_code(self.p, w)
+        code = index_code(self.p, self.index_vectors(w))
         b = np.unravel_index(self._b_code[code], (self.p,) * self.n)
         return int(self._class_of[code]), tuple(int(c) for c in b)
 

@@ -130,11 +130,17 @@ def wigner_table_to_json(wt: WignerTable, tol: float = 1e-10) -> dict:
 
 
 def wigner_table_from_json(data: dict) -> WignerTable:
+    """Inverse of wigner_table_to_json; raises ValueError unless the records
+    list every point of V_{2n}(p) exactly once, each "v" with 2n integer
+    entries."""
     p, n = int(data["p"]), int(data["n"])
     N = p ** (2 * n)
-    values = np.zeros(N, dtype=complex)
     recs = data["values"]
-    values[index_code(p, [r["v"] for r in recs])] = [
+    codes = index_code(p, phase_geometry(p, n).index_vectors([r["v"] for r in recs], ndim=2))
+    if len(codes) != N or len(np.unique(codes)) != N:
+        raise ValueError(f"a table must list each of the {N} points of V_{2 * n}({p}) once")
+    values = np.empty(N, dtype=complex)
+    values[codes] = [
         complex(*r["w"]) if isinstance(r["w"], list) else r["w"] for r in recs
     ]
     return WignerTable(p, n, data["convention"], values)

@@ -30,7 +30,8 @@ eta^{(s - r(alpha)).b} chi(sum_r b_r g_r(alpha)), so all (p^n + 1) p^n
 marginals of a table are one inverse FFT over the n digits of b, taken the
 first time any marginal is asked for and kept, in the big-endian outcome order
 of class_vectors. Tables are immutable: each holds read-only copies of its
-values, density and marginals; equality and hashing go by identity.
+values, density and marginals; equality and hashing go by identity. The A
+operators, in every convention, are translates of A(0), built on request.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .fields import FieldError, is_prime, prime_inverse
 from .geometry import PhaseGeometry, phase_geometry
-from .mub import class_vectors, member_phases
+from .mub import member_phases
 from .spins import _digits, frozen, index_code, spin_basis, spin_decompose, unit_phases
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
@@ -79,7 +80,7 @@ def wigner_kernel(p: int, n: int, convention: str) -> "WignerKernel":
 
 
 class WignerKernel:
-    """Cached kernel phases, index tables and A operators for one convention."""
+    """Kernel phases and index tables for one convention; A operators on request."""
 
     def __init__(self, p: int, n: int, convention: str):
         if not is_prime(p):
@@ -99,7 +100,6 @@ class WignerKernel:
         self._neg_perm = frozen(index_code(p, -self.vectors))
         self._axes = (tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2)))  # x, y
         self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
-        self._a_stack: Optional[np.ndarray] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -146,22 +146,20 @@ class WignerKernel:
     # -- derived tables ---------------------------------------------------------
 
     def a_stack(self) -> np.ndarray:
-        """All A operators: A(u) = (1/p^n)(-I + sum_alpha P_alpha(s)), with
-        s_j = u o g_j(alpha) + r_j(alpha) the outcome of u's line in class alpha."""
-        if self._a_stack is None:
-            if self.shifts is None:
-                raise ConventionError("A operators need a generator-route convention")
-            p, d = self.p, self.dim
-            x, y = self.vectors[:, 0::2], self.vectors[:, 1::2]
-            stack = np.zeros((self.N, d, d), dtype=complex)
-            stack -= np.eye(d)
-            for alpha, g in enumerate(self.geom.gens):
-                # u o g_j = y.gx_j - x.gy_j; vector rows are in big-endian outcome order
-                s = index_code(p, y @ g[:, 0::2].T - x @ g[:, 1::2].T + self.shifts[alpha])
-                V = class_vectors(self.geom, alpha)
-                stack += np.einsum("si,sj->sij", V, V.conj())[s]
-            self._a_stack = frozen(stack / d)
-        return self._a_stack
+        """All A operators in code order, (N, d, d), read-only and built afresh."""
+        return self._a_operators(self.vectors)
+
+    def _a_operators(self, u: np.ndarray) -> np.ndarray:
+        """A(u) = S_u A(0) S_u^dagger for each index vector u of a stack, a gather:
+        A(u)[m, m'] = eta^{u_x.(m - m')} A(0)[m + u_y, m' + u_y] on digit vectors."""
+        m = _digits(self.p, self.n)
+        rows = index_code(self.p, m + u[:, None, 1::2])  # [u, m] = code(m + u_y)
+        ph = unit_phases(self.p, u[:, 0::2] @ m.T)  # [u, m] = eta^{u_x.m}
+        a0 = self.basis.combine(self.phases) / self.N  # A(0) = p^{-2n} sum_w G(w)
+        stack = a0[rows[:, :, None], rows[:, None, :]]
+        stack *= ph[:, :, None]
+        stack *= ph.conj()[:, None, :]
+        return frozen(stack)
 
     def char_values(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -186,7 +184,9 @@ class WignerKernel:
         return a.ravel() * self.dim
 
     def code(self, w: Sequence[int]) -> int:
-        return index_code(self.p, w)
+        """Code of the index vector w; entries reduce mod p. Raises
+        ValueError unless w has 2n integer-valued entries."""
+        return index_code(self.p, self.geom.index_vectors(w))
 
     @functools.cached_property
     def outcome_codes(self) -> dict[tuple, int]:
@@ -232,7 +232,7 @@ class CharTable:
     __post_init__ = _read_only_copy
 
     def value(self, w: Sequence[int]) -> complex:
-        return complex(self.values[index_code(self.p, w)])
+        return complex(self.values[self.kernel.code(w)])
 
     @functools.cached_property
     def kernel(self) -> WignerKernel:
@@ -260,7 +260,7 @@ class WignerTable:
     __post_init__ = _read_only_copy
 
     def value(self, v: Sequence[int]) -> complex:
-        return complex(self.values[index_code(self.p, v)])
+        return complex(self.values[self.kernel.code(v)])
 
     @functools.cached_property
     def kernel(self) -> WignerKernel:
@@ -268,7 +268,7 @@ class WignerTable:
 
     @functools.cached_property
     def density(self) -> np.ndarray:
-        """rho = sum_v W(v) A(v), computed once through chi, read-only."""
+        """rho = p^n sum_v W(v) A(v), computed once through chi, read-only."""
         return char_from_wigner(self).density
 
     def real_values(self, tol: float = ZERO_TOL) -> np.ndarray:
@@ -320,7 +320,7 @@ def a_operator(p: int, n: int, u: Sequence[int], convention: Optional[str] = Non
     """Hermitian A(u) with W_rho(u) = tr[rho A(u)]."""
     convention = convention or default_convention(p, n)
     k = wigner_kernel(p, n, convention)
-    return k.a_stack()[k.code(u)]
+    return k._a_operators(k.vectors[[k.code(u)]])[0]
 
 
 def marginal_along(wt: WignerTable, alpha: int, s: Sequence[int]) -> float:
@@ -353,7 +353,7 @@ def density_from_char(chi: CharTable) -> np.ndarray:
 
 
 def reconstruct_density(wt: WignerTable) -> np.ndarray:
-    """rho = sum_v W(v) A(v), exact inverse of the chi -> W pipeline for
+    """rho = p^n sum_v W(v) A(v), exact inverse of the chi -> W pipeline for
     every convention; the table's read-only density, computed on the first call."""
     return wt.density
 

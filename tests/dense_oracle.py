@@ -183,3 +183,17 @@ def mub_projector_matrix(geom, alpha, s):
             M = M @ Tm
         P = P @ (acc / p)
     return P
+
+
+def projector_a_stack(kernel):
+    """The paper's A(u) = p^{-n}(-I + sum_alpha P_alpha(s_alpha(u))), with
+    s_alpha(u) the shifted outcome of u's line in class alpha (outcome_codes)
+    and every projector from mub_projector_matrix: shape (N, d, d). Needs the
+    kernel's generator-route shifts."""
+    geom, d = kernel.geom, kernel.dim
+    stack = np.zeros((kernel.N, d, d), dtype=complex) - np.eye(d)
+    for alpha in range(geom.num_classes):
+        codes = outcome_codes(kernel, alpha)
+        for c, s in enumerate(itertools.product(range(geom.p), repeat=geom.n)):
+            stack[codes == c] += mub_projector_matrix(geom, alpha, s)
+    return stack / d

@@ -128,6 +128,34 @@ def test_wigner_table_json_round_trip(rng):
     assert np.abs(back.values - wt.values).max() < TOL
 
 
+def _corrupt_table_json(rng, edit):
+    data = wigner_table_to_json(wigner_function(random_density(3, rng), 3, 1, "plain"))
+    edit(data["values"])
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda recs: recs.pop(), id="missing-point"),
+    pytest.param(lambda recs: recs.append(dict(recs[4])), id="extra-point"),
+    pytest.param(lambda recs: recs[3].update(v=recs[4]["v"]), id="repeated-point"),
+    pytest.param(lambda recs: recs[3].update(v=[1]), id="short-v"),
+    pytest.param(lambda recs: recs[3].update(v=[1, 0, 0]), id="long-v"),
+    pytest.param(lambda recs: recs[3].update(v=[1.5, 0]), id="half-integer-v"),
+    pytest.param(lambda recs: recs.clear(), id="no-points"),
+])
+def test_wigner_table_json_rejects_malformed_tables(edit, rng):
+    with pytest.raises(ValueError):
+        wigner_table_from_json(_corrupt_table_json(rng, edit))
+
+
+def test_wigner_table_json_reduces_entries_mod_p(rng):
+    def shift(recs):
+        recs[0]["v"] = [3.0, 3]  # the origin, written with entries 3 = 0 mod 3
+    data = _corrupt_table_json(rng, shift)
+    back = wigner_table_from_json(data)
+    assert back.values[0] == data["values"][0]["w"]
+
+
 def test_cli_mub(tmp_path, capsys):
     out = tmp_path / "mub32"
     assert main(["mub", "--p", "3", "--n", "2", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SIGMA, random_hermitian
-from dense_oracle import DenseKernel, ft_matrix, kernel_op, kernel_ops, outcome_codes, spin_stack
+from dense_oracle import (
+    DenseKernel,
+    ft_matrix,
+    kernel_op,
+    kernel_ops,
+    outcome_codes,
+    projector_a_stack,
+    spin_stack,
+)
 from mubwigner.fields import is_prime, prime_inverse
 from mubwigner.geometry import phase_geometry
 from mubwigner.mub import class_vectors, mub_projector
@@ -262,6 +271,8 @@ A_CASES = [
     (3, 2, "separable"),
     (2, 2, "p2-left"),
     (3, 1, "dynamics"),
+    (2, 2, "dynamics"),
+    (2, 3, "dynamics"),
 ]
 
 
@@ -309,6 +320,18 @@ def test_matrix_free_transforms_match_dense_oracle(p, n, conv, rng):
     assert np.abs(wt.values - dense.wigner_from_char(chi.values)).max() < 1e-12
     assert np.abs(char_from_wigner(wt).values - dense.char_from_wigner(wt.values)).max() < 1e-12
     assert np.abs(reconstruct_density(wt) - dense.reconstruct_density(wt.values)).max() < 1e-12
+
+
+@pytest.mark.parametrize("p,n,conv", ORACLE_CASES)
+def test_a_stack_matches_dense_oracles(p, n, conv):
+    k = wigner_kernel(p, n, conv)
+    A = k.a_stack()
+    # the paper's formula from dense MUB projectors, where shifts exist
+    if k.shifts is not None:
+        assert np.abs(A - projector_a_stack(k)).max() <= 1e-14
+    # A(u) = p^{-2n} sum_w eta^{u o w} G(w) from Kronecker-product spin matrices
+    G = k.phases[:, None, None] * spin_stack(p, n, k.vectors)
+    assert np.abs(A - np.tensordot(ft_matrix(k), G, axes=(1, 0))).max() <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -409,19 +432,50 @@ def test_a_operator_qubit_closed_form():
         assert np.abs(a_operator(2, 1, (v0, v1), "plain") - want).max() < TOL
 
 
-def test_a_operator_unavailable_for_p2_dynamics():
-    with pytest.raises(ConventionError):
-        wigner_kernel(2, 2, "dynamics").a_stack()
+def test_a_operator_builds_no_stack():
+    # d = 243: the (N, d, d) stack would be 55 GB; one A(u) is a d x d gather
+    u = (1, 2, 0, 1, 2, 2, 0, 0, 1, 1)
+    wigner_kernel(3, 5, "separable")
+    tracemalloc.start()
+    try:
+        A = a_operator(3, 5, u, "separable")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (243, 243)
+    assert peak < 20e6
+    _assert_read_only(A)
+    assert np.abs(A - A.conj().T).max() < 1e-15
+    assert abs(np.trace(A) - 3**-5) < 1e-15
 
 
-@pytest.mark.parametrize("p,n,conv", A_CASES)
+@pytest.mark.parametrize("u", [(0, 0, 1), (0.5, 1), (1,), (float("nan"), 0), ((0, 1),)])
+def test_a_operator_rejects_malformed_index_vectors(u):
+    with pytest.raises(ValueError, match="index vector"):
+        a_operator(3, 1, u)
+    # entries reduce mod p, and numpy integers are accepted
+    assert np.array_equal(a_operator(3, 1, (np.int64(4), 2.0)), a_operator(3, 1, (1, 2)))
+
+
+@pytest.mark.parametrize("cls", [WignerTable, CharTable])
+@pytest.mark.parametrize("v", [(1,), (0, 0, 1), (0.5, 1), (float("inf"), 0)])
+def test_table_value_rejects_malformed_index_vectors(cls, v, rng):
+    table = cls(3, 1, "plain", rng.normal(size=9) + 0j)
+    with pytest.raises(ValueError, match="index vector"):
+        table.value(v)
+    assert table.value((np.int64(4), 2.0)) == table.values[5]
+
+
+# every (p, n, convention) with d <= 27, p=2 dynamics included
+@pytest.mark.parametrize("p,n,conv", [c for c in COSET_CASES if c[0] ** c[1] <= 27])
 def test_wigner_equals_a_operator_traces(p, n, conv, rng):
+    # W(u) = tr[rho A(u)] and rho = p^n sum_u W(u) A(u)
     d = p**n
     rho = random_density(d, rng)
     wt = wigner_function(rho, p, n, conv)
     A = wt.kernel.a_stack()
-    want = np.einsum("uij,ji->u", A, rho)
-    assert np.abs(wt.values - want).max() < TOL
+    assert np.abs(wt.values - np.einsum("uij,ji->u", A, rho)).max() <= 1e-14
+    assert np.abs(d * np.tensordot(wt.values, A, axes=(0, 0)) - rho).max() <= 1e-14
 
 
 @pytest.mark.parametrize("s", [(0,), (0, 0, 2), (1.5, 0), (float("nan"), 0)])
@@ -458,10 +512,10 @@ def test_marginal_along_property(case, data):
     wt = wigner_function(rho, p, n, conv)
     k = wt.kernel
     got = marginal_along(wt, alpha, s)
-    assert abs(got - wt.values[outcome_codes(k, alpha) == k.code(s)].sum().real) <= 1e-14
+    assert abs(got - wt.values[outcome_codes(k, alpha) == k.outcome_code(s)].sum().real) <= 1e-14
     # class_marginals is in big-endian order, like class_vectors
-    assert got == class_marginals(wt, alpha)[k.code(s)]
-    psi = class_vectors(k.geom, alpha)[k.code(s)]
+    assert got == class_marginals(wt, alpha)[k.outcome_code(s)]
+    psi = class_vectors(k.geom, alpha)[k.outcome_code(s)]
     assert abs(got - (psi.conj() @ rho @ psi).real) < TOL
 
 
@@ -594,9 +648,9 @@ def test_marginals_and_projector_lines_property(n, data):
     # the marginals of a class are the probabilities <psi_s|rho|psi_s>
     assert np.abs(class_marginals(wt, alpha) - ((V.conj() @ rho) * V).sum(axis=1).real).max() < 1e-12
     # W of the MUB projector P_alpha(s) is p^{-n} on its line and 0 elsewhere
-    psi = V[k.code(s)]
+    psi = V[k.outcome_code(s)]
     W = wigner_function(np.outer(psi, psi.conj()), p, n, conv).values
-    on = outcome_codes(k, alpha) == k.code(s)
+    on = outcome_codes(k, alpha) == k.outcome_code(s)
     assert np.abs(W - np.where(on, p**-n, 0.0)).max() < 1e-12
 
 
@@ -608,7 +662,7 @@ def test_marginals_keep_the_p2_dynamics_refusal(rng):
         class_marginals(wt, 0)
 
 
-@pytest.mark.parametrize("p,n,conv", A_CASES)
+@pytest.mark.parametrize("p,n,conv", [c for c in A_CASES if c in MARGINAL_CASES])
 def test_marginals_match_projector_probabilities(p, n, conv, rng):
     d = p**n
     geom = phase_geometry(p, n)
@@ -841,7 +895,7 @@ def test_invariants_beyond_dense_reach(p, n, rng):
     s = tuple(j % p for j in range(n))
     for alpha in (0, 1, d):
         P = mub_projector(k.geom, alpha, s).matrix
-        on = outcome_codes(k, alpha) == k.code(s)
+        on = outcome_codes(k, alpha) == k.outcome_code(s)
         assert on.sum() == d
         W = wigner_function(P, p, n, conv).values
         assert np.abs(W - np.where(on, p**-n, 0.0)).max() < 1e-12
