@@ -91,8 +91,7 @@ class PhaseGeometry:
         self.num_classes = field.order + 1
         # gens[alpha, r] = g_r(alpha), shape (p^n + 1, n, 2n)
         self.gens = frozen(self._hankel_generators())
-        # codes[alpha, b] = code of sum_r b_r g_r(alpha), b in big-endian code order
-        self.codes = frozen(index_code(self.p, _span(self.gens, self.p)))
+        self.codes = frozen(self._class_codes())
         self._class_of, self._b_code = self._solve_index_equation()
 
     def _hankel_generators(self) -> np.ndarray:
@@ -109,6 +108,20 @@ class PhaseGeometry:
         gens[:d, :, 1::2] = np.tensordot(_digits(p, n)[:, ::-1], hankel, axes=(1, 2)) % p
         gens[d, :, 1::2] = eye
         return gens
+
+    def _class_codes(self) -> np.ndarray:
+        """codes[alpha, b] = code of sum_r b_r g_r(alpha), b in big-endian code
+        order. The x digits of that point are b's own below p^n (gx = I) and
+        0 on the vertical class (gx = 0), so only the n y digits take a
+        product and a reduction mod p, one (p^n + 1, p^n) plane at a time."""
+        p, n, d = self.p, self.n, self.dim
+        b = _digits(p, n)
+        weight = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)  # of x_0, y_0, x_1, ...
+        codes = np.zeros((d + 1, d), dtype=np.int64)
+        codes[:d] = b @ weight[0::2]
+        for j in range(n):  # y_j[alpha, b] = sum_r b_r gens[alpha, r, y_j]
+            codes += (self.gens[:, :, 2 * j + 1] @ b.T) % p * weight[2 * j + 1]
+        return codes
 
     def _solve_index_equation(self) -> tuple[np.ndarray, np.ndarray]:
         """Class label and b-code of every point, in code order; the origin

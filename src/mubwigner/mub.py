@@ -6,8 +6,10 @@ products prod_r T_r^{b_r} over b in V_n(p) make up the class. Every member is
 monomial: it sends row m to column m + y_b with a phase, where (x_b, y_b) =
 sum_r b_r g_r(alpha). The projector P_alpha(s) = (1/p^n) sum_b eta^{s.b}
 prod_r T_r^{b_r} has rank one, so each basis is held as p^n unit vectors:
-the diagonals of all P_alpha(s) are one FFT over b, and the column of
-P_alpha(s) through its largest diagonal entry is its vector, up to norm.
+the diagonals of all P_alpha(s) are one digit DFT over b (spins.digit_dft,
+O(d^2 n p) per class, overtaken by an FFT only for n = 1 and p above about
+150), and the column of P_alpha(s) through its largest diagonal entry is its
+vector, up to norm.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .fields import is_prime, FieldError
 from .geometry import PhaseGeometry, _span, phase_geometry
-from .spins import _digits, frozen, index_code, unit_phases
+from .spins import _digits, digit_dft, frozen, index_code, unit_phases
 
 UNBIASED_TOL = 1e-10
 
@@ -70,11 +72,11 @@ def class_vectors(geom: PhaseGeometry, alpha: int) -> np.ndarray:
     x, y = w[:, 0::2], w[:, 1::2]
     digits = _digits(p, n)  # b, s and row labels m alike
     # diagonal: members with y_b = 0 hold phase_b eta^{x_b.m} at (m, m), so
-    # diag P_s[m] = (1/d) sum_b eta^{s.b} D[b, m] is an inverse FFT over b
+    # diag P_s[m] = (1/d) sum_b eta^{s.b} D[b, m] is a digit DFT over b
     D = np.zeros((d, d), dtype=complex)
     on = ~y.any(axis=1)
     D[on] = unit_phases(p, e[on, None] + x[on] @ digits.T, i_exp[on, None])
-    diag = np.fft.ifftn(D.reshape((p,) * n + (d,)), axes=tuple(range(n))).reshape(d, d).real
+    diag = digit_dft(D.reshape((p,) * n + (d,)), p, (1,) * n + (0,)).reshape(d, d).real / d
     k = diag.argmax(axis=1)
     # column k of P_s: member b puts phase_b eta^{x_b.m} at row m = k - y_b
     rows = digits[k][:, None, :] - y[None, :, :]  # [s, b, :]

@@ -21,13 +21,15 @@ through its class-code table. Conventions:
              (p=2), the phase family used for Hamiltonian evolution
 
 Wigner tables are the symplectic Fourier transform of characteristic tables,
-W(v) = p^{-2n} sum_w eta^{v o w} chi(w), computed with FFTs over the 2n axes
-of V_{2n}(p); conventions differ only by the kernel phases. Marginals
+W(v) = p^{-2n} sum_w eta^{v o w} chi(w), computed as one digit DFT over the
+2n axes of V_{2n}(p) (spins.digit_dft: a p x p character product per axis,
+O(d^2 n p); for n = 1 that is O(p^3), and an FFT would win above p of about
+150); conventions differ only by the kernel phases. Marginals
 over shifted isotropic subspaces reproduce the MUB outcome probabilities in
 every convention. Those line sums are the Fourier slice of chi: on the
 subspace of class alpha, tr[rho P_alpha(s)] = p^{-n} sum_b
 eta^{(s - r(alpha)).b} chi(sum_r b_r g_r(alpha)), so all (p^n + 1) p^n
-marginals of a table are one inverse FFT over the n digits of b, taken the
+marginals of a table are one digit DFT over the n digits of b, taken the
 first time any marginal is asked for and kept, in the big-endian outcome order
 of class_vectors. Tables are immutable: each holds read-only copies of its
 values, density and marginals; equality and hashing go by identity. The A
@@ -45,7 +47,7 @@ import numpy as np
 from .fields import FieldError, is_prime, prime_inverse
 from .geometry import PhaseGeometry, phase_geometry
 from .mub import member_phases
-from .spins import _digits, frozen, index_code, spin_basis, spin_decompose, unit_phases
+from .spins import _digits, digit_dft, frozen, index_code, spin_basis, spin_decompose, unit_phases
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
 ZERO_TOL = 1e-10
@@ -98,7 +100,6 @@ class WignerKernel:
         self.eta_exp, self.i_exp = map(frozen, self._exponents())
         self.phases = frozen(unit_phases(p, self.eta_exp, self.i_exp))
         self._neg_perm = frozen(index_code(p, -self.vectors))
-        self._axes = (tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2)))  # x, y
         self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
 
     # -- construction ---------------------------------------------------------
@@ -169,19 +170,16 @@ class WignerKernel:
 
     def symplectic_ft(self, values: np.ndarray) -> np.ndarray:
         """W(v) = p^{-2n} sum_w eta^{v o w} chi(w), with v o w = sum_b
-        v_y w_x - v_x w_y: ifftn over the x axes, fftn over the y axes, then
-        x and y swapped in each block."""
-        x, y = self._axes
-        a = np.asarray(values, dtype=complex).reshape((self.p,) * (2 * self.n))
-        a = np.fft.fftn(np.fft.ifftn(a, axes=x), axes=y)
-        return a.transpose(self._swap).ravel() / self.dim
+        v_y w_x - v_x w_y: a digit DFT of sign +1 over the x axes and -1
+        over the y axes, then x and y swapped in each block."""
+        a = np.reshape(values, (self.p,) * (2 * self.n))
+        a = digit_dft(a, self.p, (1, -1) * self.n)
+        return a.transpose(self._swap).ravel() / self.N
 
     def inverse_symplectic_ft(self, values: np.ndarray) -> np.ndarray:
         """chi(w) = sum_v eta^{w o v} W(v): symplectic_ft undone step by step."""
-        x, y = self._axes
-        a = np.asarray(values, dtype=complex).reshape((self.p,) * (2 * self.n))
-        a = np.fft.ifftn(np.fft.fftn(a.transpose(self._swap), axes=x), axes=y)
-        return a.ravel() * self.dim
+        a = np.reshape(values, (self.p,) * (2 * self.n)).transpose(self._swap)
+        return digit_dft(a, self.p, (-1, 1) * self.n).ravel()
 
     def code(self, w: Sequence[int]) -> int:
         """Code of the index vector w; entries reduce mod p. Raises
@@ -287,8 +285,8 @@ class WignerTable:
         p, n, d = k.p, k.n, k.dim
         chi = k.inverse_symplectic_ft(self.values)[k.geom.codes]
         chi *= unit_phases(p, -k.shifts @ _digits(p, n).T)
-        lines = np.fft.ifftn(chi.reshape((d + 1,) + (p,) * n), axes=range(1, n + 1))
-        return frozen(lines.reshape(d + 1, d))
+        lines = digit_dft(chi.reshape((d + 1,) + (p,) * n), p, (0,) + (1,) * n)
+        return frozen(lines.reshape(d + 1, d) / d)
 
 
 def char_function(
@@ -491,8 +489,15 @@ class PositivityResult:
     min_eigenvalue: float
     p: int
     n: int
-    # unit eigenvector of the most negative eigenvalue; None when positive
-    eigenvector: Optional[np.ndarray] = field(default=None, repr=False)
+    rho: np.ndarray = field(repr=False, compare=False)  # read-only copy of the checked matrix
+
+    @functools.cached_property
+    def eigenvector(self) -> Optional[np.ndarray]:
+        """Unit eigenvector of the most negative eigenvalue, read-only and
+        computed when first read; None when positive."""
+        if self.positive:
+            return None
+        return frozen(np.linalg.eigh(self.rho)[1][:, 0].copy())
 
     @functools.cached_property
     def witness(self) -> Optional[dict]:
@@ -508,16 +513,14 @@ class PositivityResult:
 def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> PositivityResult:
     """Peres-style positivity: rho >= 0 iff tr(rho B B^dagger) >= 0 for all B.
 
-    Returns the most negative eigenvalue; when negative, the witness B is the
-    projector onto its eigenvector, reported in spin-matrix coefficients."""
-    rho = np.asarray(rho, dtype=complex)
+    Returns the most negative eigenvalue, from eigenvalues alone; when it is
+    negative, the witness B is the projector onto its eigenvector, reported in
+    spin-matrix coefficients. Both are computed when first read."""
+    rho = frozen(np.array(rho, dtype=complex))
     if not np.abs(rho - rho.conj().T).max() <= 1e-8:  # a NaN defect fails too
         raise ValueError("positivity check expects a finite Hermitian matrix")
-    vals, vecs = np.linalg.eigh(rho)
-    lam = float(vals[0])
-    if lam >= -tol:
-        return PositivityResult(True, lam, p, n)
-    return PositivityResult(False, lam, p, n, vecs[:, 0].copy())
+    lam = float(np.linalg.eigvalsh(rho)[0])
+    return PositivityResult(lam >= -tol, lam, p, n, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from dense_oracle import generating_vectors, generator_set, m_map
 from mubwigner.fields import FieldElement, is_prime, make_extension, prime_inverse
 from mubwigner.geometry import (
+    _span,
     all_lines,
     line_points,
     phase_geometry,
@@ -14,6 +15,7 @@ from mubwigner.geometry import (
 )
 from mubwigner.mub import full_mub
 from mubwigner.serialize import mub_to_json
+from mubwigner.spins import index_code
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
 
@@ -145,6 +147,18 @@ def test_hankel_generators_match_field_route(p, n):
     want = [generator_set(geom.field, alpha) for alpha in range(geom.num_classes)]
     assert geom.gens.dtype == np.int64
     assert np.array_equal(geom.gens, np.array(want))
+
+
+# every (p, n) the suite builds a geometry for: ORACLE_FIELDS and n = 1 up to p = 163
+CODE_FIELDS = ORACLE_FIELDS + [(p, 1) for p in range(37, 164) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p,n", CODE_FIELDS)
+def test_class_codes_match_span_route(p, n):
+    # the span route: index codes of the whole (p^n + 1, p^n, 2n) stack of points
+    geom = phase_geometry(p, n)
+    assert geom.codes.dtype == np.int64
+    assert np.array_equal(geom.codes, index_code(p, _span(geom.gens, p)))
 
 
 def test_geometry_builds_without_field_multiplication(monkeypatch):

@@ -9,6 +9,7 @@ from conftest import SIGMA
 from mubwigner.spins import (
     all_index_vectors,
     alpha_factor,
+    digit_dft,
     eta,
     index_code,
     phased_spin,
@@ -215,3 +216,56 @@ def test_index_code_of_a_stack_matches_scalar_loop(p, n):
     assert index_code(p, shifted[:, None, :]).shape == (len(vecs), 1)
     last = index_code(p, tuple(shifted[-1]))
     assert isinstance(last, int) and last == len(vecs) - 1
+
+
+# axes per prime, so that each transformed block holds at most a few thousand entries
+DFT_AXES = {2: 6, 3: 6, 5: 5, 7: 4, 11: 3, 13: 3, 31: 2}
+
+
+def _fft_reference(a, signs):
+    """digit_dft through numpy's FFTs: unnormalised ifftn over the +1 axes,
+    fftn over the -1 axes."""
+    plus = [i for i, s in enumerate(signs) if s == 1]
+    minus = [i for i, s in enumerate(signs) if s == -1]
+    if plus:
+        a = np.fft.ifftn(a, axes=plus) * np.prod([a.shape[i] for i in plus])
+    if minus:
+        a = np.fft.fftn(a, axes=minus)
+    return a
+
+
+def _assert_digit_dft_matches_fft(a, p, signs):
+    got = digit_dft(a, p, signs)
+    want = _fft_reference(a, signs)
+    assert got.shape == a.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", sorted(DFT_AXES))
+def test_digit_dft_matches_numpy_fft(p, rng):
+    for k in range(1, DFT_AXES[p] + 1):
+        for lead, trail in itertools.product(((), (2,)), ((), (3,))):
+            shape = lead + (p,) * k + trail
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for signs in itertools.product((-1, 0, 1), repeat=k):
+                full = (0,) * len(lead) + signs + (0,) * len(trail)
+                _assert_digit_dft_matches_fft(a, p, full)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_digit_dft_property(data):
+    p = data.draw(st.sampled_from(sorted(DFT_AXES)))
+    k = data.draw(st.integers(1, DFT_AXES[p]))
+    signs = tuple(data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=k, max_size=k)))
+    lead = tuple(data.draw(st.lists(st.integers(1, 5), max_size=1)))
+    trail = tuple(data.draw(st.lists(st.integers(1, 5), max_size=1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = lead + (p,) * k + trail
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    _assert_digit_dft_matches_fft(a, p, (0,) * len(lead) + signs + (0,) * len(trail))
+
+
+def test_digit_dft_needs_one_sign_per_axis():
+    with pytest.raises(ValueError, match="signs"):
+        digit_dft(np.zeros((3, 3)), 3, (1,))

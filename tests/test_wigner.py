@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from conftest import SIGMA, random_hermitian
 from dense_oracle import (
@@ -17,12 +18,19 @@ from dense_oracle import (
     projector_a_stack,
     spin_stack,
 )
+from mubwigner.dynamics import (
+    build_char_generator,
+    char_dynamics_table,
+    density_from_dynamics_char,
+    evolve,
+)
 from mubwigner.fields import is_prime, prime_inverse
 from mubwigner.geometry import phase_geometry
 from mubwigner.mub import class_vectors, mub_projector
 from mubwigner import wigner as wigner_mod
 from mubwigner.spins import (
     PhasedOperator,
+    _characters,
     eta,
     spin_matrix,
     spin_projector,
@@ -378,7 +386,8 @@ def test_cached_arrays_are_read_only(p, n, conv):
     k = wigner_kernel(p, n, conv)
     for a in (k.basis.vectors, k.basis._diag, k.phases, k.eta_exp, k.i_exp, k.shifts,
               k.geom.gens, k.geom._class_of, k.geom._b_code, k._neg_perm,
-              k.geom.codes, k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv)):
+              k.geom.codes, k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv),
+              _characters(p, 1), _characters(p, -1)):
         _assert_read_only(a)
     wt = wigner_function(np.eye(p**n) / p**n, p, n, conv)
     for a in (wt._marginals, class_marginals(wt, 0)):
@@ -828,6 +837,57 @@ def test_positivity_witness_is_built_when_read(monkeypatch, rng):
     assert res.witness is res.witness and len(calls) == 1
     pos = positivity_check(random_density(p**n, rng), p, n)
     assert pos.positive and pos.witness is None and len(calls) == 1
+
+
+def test_positivity_check_takes_eigenvalues_only(monkeypatch):
+    p, n = 3, 2
+    P = mub_projector(phase_geometry(p, n), 4, (1, 2)).matrix
+    rho = 1.5 * np.eye(p**n) / p**n - 0.5 * P
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    for read in ("eigenvector", "witness"):
+        res = positivity_check(rho, p, n)
+        assert not res.positive and abs(res.min_eigenvalue - (1.5 / p**n - 0.5)) < TOL
+        assert calls == []
+        getattr(res, read)
+        assert len(calls) == 1 and res.eigenvector is res.eigenvector and len(calls) == 1
+        _assert_read_only(res.eigenvector)
+        calls.clear()
+    # the witness is the one of the eager eigh route
+    phi = eigh(rho)[1][:, 0]
+    decompose = wigner_mod.spin_decompose
+    want = {idx: c / p**n for idx, c in decompose(np.outer(phi, phi.conj()), p, n).items()}
+    assert res.witness == want
+    # the checked matrix is held as a read-only copy, not the caller's array
+    rho[0, 0] = 7.0
+    assert res.rho[0, 0] != 7.0 and not res.rho.flags.writeable
+    pos = positivity_check(np.eye(p**n) / p**n, p, n)
+    assert pos.eigenvector is None and pos.witness is None and calls == []
+
+
+def test_transforms_call_no_numpy_fft(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy FFT called")
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    p, n = 3, 2
+    d = p**n
+    rho = random_density(d, rng)
+    for conv in ("separable", "dynamics"):
+        wt = wigner_function(rho, p, n, conv)
+        again = WignerTable(p, n, conv, wt.values)
+        assert np.abs(reconstruct_density(again) - rho).max() < TOL
+        assert abs(class_marginals(wt, 1).sum() - 1) < TOL
+    H = random_hermitian(d, rng)
+    gen = build_char_generator(H, p, n)
+    chi_t = evolve(char_dynamics_table(rho, p, n), gen, 0.5)
+    U = expm(-0.5j * H)
+    assert np.abs(density_from_dynamics_char(chi_t) - U @ rho @ U.conj().T).max() < 1e-9
+    assert wigner_kernel(p, n, "separable").a_stack().shape == (d * d, d, d)
+    V = class_vectors(phase_geometry(p, n), 2)
+    assert np.abs(V @ V.conj().T - np.eye(d)).max() < TOL
 
 
 def test_positivity_check_agrees_with_eigen_oracle(rng):
