@@ -73,8 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--format",
         type=str,
-        default="json,csv",
-        help="comma list from {json,csv,pgm}; pgm needs n=1",
+        default=None,
+        help="comma list from {json,csv,pgm}; csv needs n<=2, pgm needs n=1 "
+             "(default: json,csv for n<=2, json for n>=3)",
     )
 
     sp = sub.add_parser("check", help="run consistency checks on a state")
@@ -123,18 +124,28 @@ def cmd_mub(args) -> int:
     return 0 if report.passed else 1
 
 
+def _wigner_formats(spec, n: int) -> list[str]:
+    """The requested output formats, checked against n before any work."""
+    if spec is None:
+        return ["json", "csv"] if n <= 2 else ["json"]
+    formats = [f.strip() for f in spec.split(",") if f.strip()]
+    unknown = set(formats) - {"json", "csv", "pgm"}
+    if unknown:
+        raise ValueError(f"unknown format(s): {sorted(unknown)}")
+    if "pgm" in formats and n != 1:
+        raise ValueError("pgm export is only available for n=1")
+    if "csv" in formats and n > 2:
+        raise ValueError("csv export is only available for n=1 and n=2")
+    return formats
+
+
 def cmd_wigner(args) -> int:
     _validate_pn(args.p, args.n)
+    formats = _wigner_formats(args.format, args.n)
     rho = load_state(args.input, args.p, args.n, args.seed)
     hermitian = np.abs(rho - rho.conj().T).max() <= args.tol
     conv = args.convention or default_convention(args.p, args.n)
     wt = wigner_function(rho, args.p, args.n, conv)
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    unknown = set(formats) - {"json", "csv", "pgm"}
-    if unknown:
-        raise ValueError(f"unknown format(s): {sorted(unknown)}")
-    if "pgm" in formats and args.n != 1:
-        raise ValueError("pgm export is only available for n=1")
     if not hermitian:
         # operator tables are well defined but complex-valued, so only the
         # JSON form can hold them
@@ -164,6 +175,13 @@ def _check_state(args, rho, conv) -> dict:
     for c in requested:
         if c not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
+    if "separability" in requested and n != 2:
+        raise ValueError("the separability check needs n=2")
+    if "pt" in requested:
+        if n != 2:
+            raise ValueError("the pt check needs n=2")
+        if conv not in ("separable", "p2-left", "p2-right"):
+            raise ValueError("pt check needs a separability convention")
     wt = wigner_function(rho, p, n, conv)
     kern = wigner_kernel(p, n, conv)
     # deviations are reduced with np.max, which keeps a NaN (Python max may
@@ -185,8 +203,6 @@ def _check_state(args, rho, conv) -> dict:
         ])))
         results["plancherel"] = {"max_deviation": dev, "passed": dev < tol}
     if "separability" in requested:
-        if n != 2:
-            raise ValueError("the separability check needs n=2")
         tau = np.trace(rho.reshape(p, p, p, p), axis1=1, axis2=3)
         mu = np.trace(rho.reshape(p, p, p, p), axis1=0, axis2=2)
         rep = check_product_factorization(tau, mu, p)
@@ -202,10 +218,6 @@ def _check_state(args, rho, conv) -> dict:
             "passed": res.positive,
         }
     if "pt" in requested:
-        if n != 2:
-            raise ValueError("the pt check needs n=2")
-        if conv not in ("separable", "p2-left", "p2-right"):
-            raise ValueError("pt check needs a separability convention")
         wpt = wigner_partial_transpose(wt)
         lam = float(np.linalg.eigvalsh(reconstruct_density(wpt))[0])
         results["pt"] = {"min_eigenvalue": lam, "passed": lam >= -tol}

@@ -31,9 +31,14 @@ subspace of class alpha, tr[rho P_alpha(s)] = p^{-n} sum_b
 eta^{(s - r(alpha)).b} chi(sum_r b_r g_r(alpha)), so all (p^n + 1) p^n
 marginals of a table are one digit DFT over the n digits of b, taken the
 first time any marginal is asked for and kept, in the big-endian outcome order
-of class_vectors. Tables are immutable: each holds read-only copies of its
-values, density and marginals; equality and hashing go by identity. The A
-operators, in every convention, are translates of A(0), built on request.
+of class_vectors; the shift phases eta^{-r(alpha).b} are a kernel constant.
+class_marginals reads that array; marginal_along reads frozen rows of Python
+floats (None where the entry is not real), built from it once per table, so
+each lookup is one tuple index. Tables are immutable: each holds read-only
+copies of its values, density and marginals; equality and hashing go by
+identity. The odd-p partial transpose is one gather through a permutation the
+kernel keeps. The A operators, in every convention, are translates of A(0),
+built on request.
 """
 
 from __future__ import annotations
@@ -192,6 +197,19 @@ class WignerKernel:
         order of class_vectors and of the marginals."""
         return dict(zip(map(tuple, _digits(self.p, self.n).tolist()), range(self.dim)))
 
+    @functools.cached_property
+    def _marginal_phases(self) -> np.ndarray:
+        """[alpha, code(b)] = eta^{-r(alpha).b}, the shift phases of the
+        marginal slice, read-only; needs the shift table."""
+        return frozen(unit_phases(self.p, -self.shifts @ _digits(self.p, self.n).T))
+
+    @functools.cached_property
+    def _pt_perm(self) -> np.ndarray:
+        """Code of (x0, y0, p-1-x1, y1) at code(x0, y0, x1, y1), n = 2 only:
+        the odd-p partial transpose as a gather, read-only."""
+        codes = np.arange(self.N).reshape((self.p,) * 4)
+        return frozen(codes[:, :, ::-1].ravel())
+
     def outcome_code(self, s: Sequence[int]) -> int:
         """Big-endian code of s; entries reduce mod p. Raises ValueError
         unless s has n integer-valued entries."""
@@ -284,9 +302,20 @@ class WignerTable:
             raise ConventionError("no generator-route shifts exist for this convention")
         p, n, d = k.p, k.n, k.dim
         chi = k.inverse_symplectic_ft(self.values)[k.geom.codes]
-        chi *= unit_phases(p, -k.shifts @ _digits(p, n).T)
+        chi *= k._marginal_phases
         lines = digit_dft(chi.reshape((d + 1,) + (p,) * n), p, (0,) + (1,) * n)
         return frozen(lines.reshape(d + 1, d) / d)
+
+    @functools.cached_property
+    def _marginal_rows(self) -> tuple[tuple[Optional[float], ...], ...]:
+        """The marginals as one tuple of Python floats per class, built once
+        from _marginals for marginal_along; None where |imag| > 1e-8, an
+        outcome that is not a probability."""
+        m = self._marginals
+        rows = m.real.tolist()
+        for alpha, code in zip(*np.nonzero(np.abs(m.imag) > 1e-8)):
+            rows[alpha][code] = None
+        return tuple(map(tuple, rows))
 
 
 def char_function(
@@ -324,13 +353,16 @@ def a_operator(p: int, n: int, u: Sequence[int], convention: Optional[str] = Non
 def marginal_along(wt: WignerTable, alpha: int, s: Sequence[int]) -> float:
     """Sum of W over the line of class alpha with outcome vector s (a
     shifted isotropic subspace); equals tr[rho P_alpha(s)]. The first call on
-    a table computes every marginal at once; later calls are lookups."""
+    a table computes every marginal at once; later calls read one entry of
+    the table's frozen rows of Python floats."""
     k = wt.kernel
-    k.geom.check_label(alpha)
-    total = wt._marginals[alpha, k.outcome_code(s)]
-    if abs(total.imag) > 1e-8:
+    # a plain in-range int is a valid label; everything else goes through check_label
+    if not (type(alpha) is int and 0 <= alpha <= k.dim):
+        k.geom.check_label(alpha)
+    total = wt._marginal_rows[alpha][k.outcome_code(s)]
+    if total is None:
         raise ValueError("marginal of a non-Hermitian table is not a probability")
-    return float(total.real)
+    return total
 
 
 def class_marginals(wt: WignerTable, alpha: int) -> np.ndarray:
@@ -470,10 +502,7 @@ def wigner_partial_transpose(wt: WignerTable) -> WignerTable:
     if p % 2 == 1:
         if wt.convention != "separable":
             raise ConventionError("odd-p partial transpose needs the separable convention")
-        k = wt.kernel
-        vecs = k.vectors.copy()
-        vecs[:, 2] = p - 1 - vecs[:, 2]
-        return WignerTable(p, 2, wt.convention, wt.values[index_code(p, vecs)])
+        return WignerTable(p, 2, wt.convention, wt.values[wt.kernel._pt_perm])
     if wt.convention not in ("p2-left", "p2-right"):
         raise ConventionError("p=2 partial transpose needs a p2 convention")
     chi = char_from_wigner(wt)

@@ -589,3 +589,72 @@ def test_cli_evolve_rejects_nan_hamiltonian(tmp_path, rng):
     assert rc == 2
     with pytest.raises(ValueError, match="Hermitian"):
         build_char_generator(H, 3, 1)
+
+
+def test_cli_wigner_default_formats_follow_n(tmp_path):
+    # the default is json,csv for n <= 2 and json alone for n >= 3
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    assert main(["wigner", "--p", "3", "--n", "3", "--input", state,
+                 "--out", str(tmp_path / "w3")]) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json", "w3.json"]
+    table = wigner_table_from_json(json.loads((tmp_path / "w3.json").read_text()))
+    assert (table.p, table.n) == (3, 3)
+    assert main(["wigner", "--p", "3", "--n", "2", "--input", state,
+                 "--out", str(tmp_path / "w2")]) == 0
+    assert (tmp_path / "w2.json").exists() and (tmp_path / "w2.csv").exists()
+
+
+@pytest.mark.parametrize("n,fmt,why", [(3, "csv", "csv export"), (3, "json,csv", "csv export"),
+                                       (2, "json,pgm", "pgm export"), (1, "json,png", "unknown format")])
+def test_cli_wigner_rejects_formats_before_any_work(tmp_path, monkeypatch, capsys, n, fmt, why):
+    from mubwigner import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the formats were checked")
+
+    monkeypatch.setattr(cli, "load_state", refuse)
+    monkeypatch.setattr(cli, "wigner_function", refuse)
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    rc = main(["wigner", "--p", "3", "--n", str(n), "--input", state, "--format", fmt,
+               "--out", str(tmp_path / "w")])
+    assert rc == 2
+    assert why in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json"]
+
+
+@pytest.mark.parametrize("n,conv,checks,why", [
+    (3, None, "marginals,pt", "pt check needs n=2"),
+    (3, None, "separability", "separability check needs n=2"),
+    (1, None, "positivity,pt", "pt check needs n=2"),
+    (2, "plain", "marginals,pt", "separability convention"),
+])
+def test_cli_check_validates_before_any_work(tmp_path, monkeypatch, capsys, n, conv, checks, why):
+    from mubwigner import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the checks were validated")
+
+    monkeypatch.setattr(cli, "wigner_function", refuse)
+    monkeypatch.setattr(cli, "class_vectors", refuse)
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    out = tmp_path / "rep.json"
+    argv = ["check", "--p", "3", "--n", str(n), "--input", state, "--checks", checks,
+            "--out", str(out)]
+    if conv:
+        argv += ["--convention", conv]
+    assert main(argv) == 2
+    assert why in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_check_builds_no_marginal_rows(tmp_path, marginal_row_builds):
+    # cmd_check reads class_marginals, the numpy marginals, never the rows
+    # of Python floats behind marginal_along
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    rc = main(["check", "--p", "3", "--n", "2", "--input", state,
+               "--checks", "marginals,plancherel,separability,positivity,pt",
+               "--out", str(tmp_path / "rep.json")])
+    assert rc in (0, 1)  # the random state may fail pt; every check still runs
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert len(report["checks"]) == 5 and report["checks"]["marginals"]["passed"]
+    assert marginal_row_builds == []

@@ -31,7 +31,9 @@ from mubwigner import wigner as wigner_mod
 from mubwigner.spins import (
     PhasedOperator,
     _characters,
+    _digits,
     eta,
+    index_code,
     spin_matrix,
     spin_projector,
     tensor_spin,
@@ -59,6 +61,7 @@ from mubwigner.wigner import (
     wigner_function,
     wigner_kernel,
     wigner_maximally_entangled,
+    wigner_partial_transpose,
     _validate_convention,
 )
 
@@ -959,3 +962,103 @@ def test_invariants_beyond_dense_reach(p, n, rng):
         assert on.sum() == d
         W = wigner_function(P, p, n, conv).values
         assert np.abs(W - np.where(on, p**-n, 0.0)).max() < 1e-12
+
+
+MARGINAL_ROW_CASES = [c for c in COSET_CASES if c[0] != 2 or c[1] == 1 or c[2] != "dynamics"]
+
+
+@pytest.mark.parametrize("p,n,conv", MARGINAL_ROW_CASES)
+def test_marginal_along_reads_python_floats_of_the_marginals(p, n, conv, rng):
+    d = p**n
+    wt = wigner_function(random_density(d, rng), p, n, conv)
+    k = wt.kernel
+    for alpha in range(d + 1):
+        for s in itertools.product(range(p), repeat=n):
+            got = marginal_along(wt, alpha, s)
+            assert type(got) is float
+            assert got == float(wt._marginals[alpha, k.outcome_code(s)].real)
+
+
+def test_marginal_rows_are_built_once_per_table(marginal_row_builds, rng):
+    builds = marginal_row_builds
+    p, n = 7, 2
+    d = p**n
+    wt = wigner_function(random_density(d, rng), p, n, "separable")
+    for alpha in range(d + 1):
+        class_marginals(wt, alpha)
+    assert builds == []  # class_marginals reads the numpy marginals only
+    outcomes = list(itertools.product(range(p), repeat=n))
+    probs = [[marginal_along(wt, alpha, s) for s in outcomes] for alpha in range(d + 1)]
+    assert len(outcomes) * (d + 1) == 2450
+    assert len(builds) == 1
+    assert probs == [class_marginals(wt, alpha).tolist() for alpha in range(d + 1)]
+
+
+def test_marginal_rows_are_immutable(rng):
+    wt = wigner_function(random_density(9, rng), 3, 2, "separable")
+    rows = wt._marginal_rows
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert len(rows) == 10 and all(len(row) == 9 for row in rows)
+    with pytest.raises(TypeError):
+        rows[0][0] = 1.0
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        wt._marginal_rows = ()
+    assert wt._marginal_rows is rows
+
+
+def test_marginal_rows_hold_none_where_not_a_probability(rng):
+    p, n = 3, 2
+    s0 = (2, 1)
+    A = random_density(9, rng) + 1j * mub_projector(phase_geometry(p, n), 0, s0).matrix
+    wt = wigner_function(A, p, n, "separable")
+    k = wt.kernel
+    for alpha, row in enumerate(wt._marginal_rows):
+        for code, total in enumerate(row):
+            assert (total is None) == (abs(wt._marginals[alpha, code].imag) > 1e-8)
+    assert wt._marginal_rows[0][k.outcome_code(s0)] is None
+    assert sum(row.count(None) for row in wt._marginal_rows) == 1 + 9 * 9
+
+
+def test_marginal_along_reads_integer_like_labels(rng):
+    wt = wigner_function(random_density(9, rng), 3, 2, "separable")
+    want = marginal_along(wt, 3, (1, 2))
+    for alpha in (np.int64(3), np.uint8(3), np.int32(3)):
+        assert marginal_along(wt, alpha, (1, 2)) == want
+    assert marginal_along(wt, True, (1, 2)) == marginal_along(wt, 1, (1, 2))
+    assert marginal_along(wt, False, (1, 2)) == marginal_along(wt, 0, (1, 2))
+    # out of range for a numpy integer too, which skips the plain-int fast path
+    with pytest.raises(ValueError, match="class label"):
+        marginal_along(wt, np.int64(10), (1, 2))
+
+
+# the n=2 odd-p separable kernels the suite builds, d up to 169
+PT_CASES = [(p, 2, "separable") for p in (3, 5, 7, 11, 13)]
+
+
+@pytest.mark.parametrize("p,n,conv", MARGINAL_ROW_CASES + [(11, 2, "separable"), (3, 5, "separable")])
+def test_kernel_marginal_phases_match_per_table_phases(p, n, conv):
+    k = wigner_kernel(p, n, conv)
+    assert np.array_equal(k._marginal_phases, unit_phases(p, -k.shifts @ _digits(p, n).T))
+
+
+@pytest.mark.parametrize("p,n,conv", PT_CASES)
+def test_kernel_pt_perm_matches_index_vector_route(p, n, conv, rng):
+    k = wigner_kernel(p, n, conv)
+    vecs = k.vectors.copy()
+    vecs[:, 2] = p - 1 - vecs[:, 2]
+    assert np.array_equal(k._pt_perm, index_code(p, vecs))
+    wt = wigner_function(random_density(p**n, rng), p, n, conv)
+    assert np.array_equal(wigner_partial_transpose(wt).values, wt.values[index_code(p, vecs)])
+
+
+@pytest.mark.parametrize("p,n,conv", [(3, 1, "plain"), (2, 2, "p2-left"), (3, 2, "separable")])
+def test_kernel_constant_caches_are_read_only(p, n, conv):
+    # the lazy per-kernel constants, alongside test_cached_arrays_are_read_only
+    k = wigner_kernel(p, n, conv)
+    _assert_read_only(k._marginal_phases)
+    assert k._marginal_phases is k._marginal_phases
+    if p % 2 == 1 and n == 2:
+        _assert_read_only(k._pt_perm)
+        assert k._pt_perm is k._pt_perm
