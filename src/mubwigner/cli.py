@@ -34,7 +34,7 @@ from .serialize import (
 from .mub import class_vectors, full_mub, verify_mub
 from .wigner import (
     ConventionError,
-    check_product_factorization,
+    check_complete_factorization,
     class_marginals,
     default_convention,
     plancherel_inner,
@@ -205,7 +205,7 @@ def _check_state(args, rho, conv) -> dict:
     if "separability" in requested:
         tau = np.trace(rho.reshape(p, p, p, p), axis1=1, axis2=3)
         mu = np.trace(rho.reshape(p, p, p, p), axis1=0, axis2=2)
-        rep = check_product_factorization(tau, mu, p)
+        rep = check_complete_factorization([tau, mu], p)
         results["separability"] = {
             "max_deviation": rep.max_deviation,
             "transpose_on": rep.transpose_on,

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import is_prime, FieldError
-from .spins import eta, frozen, index_code, spin_recompose, unit_phases
+from .spins import code_map, eta, frozen, spin_recompose, unit_phases
 from .wigner import (
     CharTable,
     ConventionError,
@@ -107,12 +107,13 @@ def _hermitian_check(H: np.ndarray, d: int) -> np.ndarray:
 
 def _structure_phases(kernel) -> np.ndarray:
     """phi[a, b] with K_a K_b = phi[a, b] K_{a+b}, from the kernel's exponents."""
-    vec, e, ii = kernel.vectors, kernel.eta_exp, kernel.i_exp
+    p, N, vec, e, ii = kernel.p, kernel.N, kernel.vectors, kernel.eta_exp, kernel.i_exp
     X, Y = vec[:, 0::2], vec[:, 1::2]
     cross = Y @ X.T  # product phase sum_b k_a s_b per block
-    codes = index_code(kernel.p, vec[:, None, :] + vec[None, :, :])
+    # codes[a, b] = code(a + b), the map (a, b) -> a + b on V_{4n}(p)
+    codes = code_map(p, np.kron([1, 1], np.eye(2 * kernel.n, dtype=int))).reshape(N, N)
     return unit_phases(
-        kernel.p, e[:, None] + e[None, :] + cross - e[codes], ii[:, None] + ii[None, :] - ii[codes]
+        p, e[:, None] + e[None, :] + cross - e[codes], ii[:, None] + ii[None, :] - ii[codes]
     )
 
 
@@ -120,10 +121,9 @@ def _char_matrix(H: np.ndarray, p: int, n: int) -> np.ndarray:
     kernel = wigner_kernel(p, n, "dynamics")
     chiH = kernel.char_values(H)
     N = kernel.N
-    vec = kernel.vectors
     phi = _structure_phases(kernel)
     # diff[w, u] = code(w - u); v = u - w has code diff[u, w]
-    diff = index_code(p, vec[:, None, :] - vec[None, :, :])
+    diff = code_map(p, np.kron([1, -1], np.eye(2 * n, dtype=int))).reshape(N, N)
     rows = np.arange(N)[:, None]
     vcode = diff.T
     bracket = phi[rows, vcode] - phi[vcode, rows]
@@ -135,7 +135,7 @@ def _wigner_matrix(H: np.ndarray, p: int, n: int) -> np.ndarray:
     chiH = kernel.char_values(H)
     vec = kernel.vectors
     # code(2(y - v)) for every (v, y)
-    diff2 = index_code(p, 2 * (vec[None, :, :] - vec[:, None, :]))
+    diff2 = code_map(p, np.kron([-2, 2], np.eye(2 * n, dtype=int))).reshape(kernel.N, kernel.N)
     w = eta(p)
     X, Y = vec[:, 0::2], vec[:, 1::2]
     voy = (Y @ X.T - X @ Y.T) % p  # [v, y] = v o y mod p
@@ -225,8 +225,7 @@ def spin_coeff_bridge(chi: CharTable) -> dict:
     if chi.convention != "dynamics":
         raise ConventionError("the bridge is defined for the dynamics convention")
     k = chi.kernel
-    s = k.phases * chi.values[k._neg_perm]
-    return {tuple(int(c) for c in k.vectors[i]): s[i] for i in range(k.N)}
+    return dict(zip(map(tuple, k.vectors.tolist()), k.phases * chi.values[k._neg_perm]))
 
 
 def density_from_spin_coeffs(coeffs: dict, p: int, n: int) -> np.ndarray:

@@ -132,17 +132,21 @@ def wigner_table_to_json(wt: WignerTable, tol: float = 1e-10) -> dict:
 def wigner_table_from_json(data: dict) -> WignerTable:
     """Inverse of wigner_table_to_json; raises ValueError unless the records
     list every point of V_{2n}(p) exactly once, each "v" with 2n integer
-    entries."""
+    entries and each "w" a finite number or [re, im] pair."""
     p, n = int(data["p"]), int(data["n"])
     N = p ** (2 * n)
     recs = data["values"]
     codes = index_code(p, phase_geometry(p, n).index_vectors([r["v"] for r in recs], ndim=2))
     if len(codes) != N or len(np.unique(codes)) != N:
         raise ValueError(f"a table must list each of the {N} points of V_{2 * n}({p}) once")
+    try:
+        w = np.array([r["w"] if isinstance(r["w"], list) else [r["w"], 0] for r in recs], float)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        w = np.zeros(0)
+    if w.shape != (N, 2) or not np.isfinite(w).all():
+        raise ValueError('each "w" must be a finite number or [re, im] pair')
     values = np.empty(N, dtype=complex)
-    values[codes] = [
-        complex(*r["w"]) if isinstance(r["w"], list) else r["w"] for r in recs
-    ]
+    values[codes] = w.view(complex)[:, 0]
     return WignerTable(p, n, data["convention"], values)
 
 
@@ -241,21 +245,6 @@ def write_mub_json(fh, bases, p: int, n: int) -> None:
         fh.write(_complex_json(V[:, :, None] * V[:, None, :].conj()))
         fh.write(post)
     fh.write("]}")
-
-
-def spin_coeffs_to_json(coeffs: dict) -> dict:
-    """Spin coefficient table as a JSON map keyed by comma-joined indices."""
-    return {
-        ",".join(str(int(c)) for c in idx): [float(v.real), float(v.imag)]
-        for idx, v in sorted(coeffs.items())
-    }
-
-
-def spin_coeffs_from_json(data: dict) -> dict:
-    return {
-        tuple(int(c) for c in key.split(",")): complex(v[0], v[1])
-        for key, v in data.items()
-    }
 
 
 def trajectory_record(t: float, chi: CharTable, density: np.ndarray) -> dict:

@@ -6,7 +6,8 @@ are indexed by vectors in V_{2n}(p). Products, powers and adjoints close on
 the set {eta_p^a (-i)^b S_index}, so phases are carried as integer exponents;
 each S_w is monomial, so basis-wide traces and sums are a gather plus a
 digit DFT (SpinBasis, digit_dft): V_{2n}(p) is a product of 2n copies of Z_p,
-so every table transform is a length-p DFT along each of its axes.
+so every table transform is a length-p DFT along each of its axes. Code order
+is the C order of that grid, so each index table is a digit map (code_map).
 """
 
 from __future__ import annotations
@@ -201,6 +202,19 @@ def index_code(p: int, iv):
     return int(codes) if codes.ndim == 0 else codes
 
 
+def code_map(p: int, M, t=0) -> np.ndarray:
+    """code(M v + t mod p) for every v in V_k(p), in code order, as int64, for
+    an integer (m, k) matrix M: digit by digit, each a broadcast sum over the
+    axes its row of M touches, so no (p^k, k) stack of vectors is made."""
+    M = np.asarray(M, dtype=np.int64)
+    k = M.shape[1]
+    axes = [np.arange(p, dtype=np.int64).reshape((p,) + (1,) * (k - 1 - j)) for j in range(k)]
+    code = np.int64(0)
+    for row, c in zip(M.tolist(), (np.zeros(len(M), dtype=np.int64) + t).tolist()):
+        code = code * p + sum((a * axes[j] for j, a in enumerate(row) if a), c) % p
+    return np.broadcast_to(code, (p,) * k).ravel()
+
+
 def frozen(a: np.ndarray) -> np.ndarray:
     """Mark a cached array read-only and return it."""
     a.setflags(write=False)
@@ -261,12 +275,16 @@ class SpinBasis:
         self.p = p
         self.n = n
         self.dim = p**n
-        self.vectors = frozen(all_index_vectors(p, n))
-        m, y = self.vectors[:, 0::2], self.vectors[:, 1::2]
-        # _diag[code(m, y)] = flat position of entry (m + y, m) of a d x d matrix
-        self._diag = frozen(index_code(p, m + y) * self.dim + index_code(p, m))
+        # _diag[code(m, y)] = flat position of entry (m + y, m) of a d x d matrix, code(m + y, m)
+        M = np.vstack([np.eye(n, dtype=int).repeat(2, axis=1), np.eye(2 * n, dtype=int)[0::2]])
+        self._diag = frozen(code_map(p, M))
         # sum_m eta^{x.m} over the m axes, the even axes of a code-order table
         self._shape, self._signs = (p,) * (2 * n), (1, 0) * n
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """All index vectors, (p^{2n}, 2n) in code order; read-only, built on first read."""
+        return frozen(all_index_vectors(self.p, self.n))
 
     def traces(self, A: np.ndarray) -> np.ndarray:
         """tr(A S_w) for every index vector w, in code order."""

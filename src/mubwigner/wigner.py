@@ -24,20 +24,22 @@ Wigner tables are the symplectic Fourier transform of characteristic tables,
 W(v) = p^{-2n} sum_w eta^{v o w} chi(w), computed as one digit DFT over the
 2n axes of V_{2n}(p) (spins.digit_dft: a p x p character product per axis,
 O(d^2 n p); for n = 1 that is O(p^3), and an FFT would win above p of about
-150); conventions differ only by the kernel phases. Marginals
-over shifted isotropic subspaces reproduce the MUB outcome probabilities in
-every convention. Those line sums are the Fourier slice of chi: on the
-subspace of class alpha, tr[rho P_alpha(s)] = p^{-n} sum_b
-eta^{(s - r(alpha)).b} chi(sum_r b_r g_r(alpha)), so all (p^n + 1) p^n
-marginals of a table are one digit DFT over the n digits of b, taken the
-first time any marginal is asked for and kept, in the big-endian outcome order
-of class_vectors; the shift phases eta^{-r(alpha).b} are a kernel constant.
-class_marginals reads that array; marginal_along reads frozen rows of Python
-floats (None where the entry is not real), built from it once per table, so
-each lookup is one tuple index. Tables are immutable: each holds read-only
-copies of its values, density and marginals; equality and hashing go by
-identity. The odd-p partial transpose is one gather through a permutation the
-kernel keeps. The A operators, in every convention, are translates of A(0),
+150); conventions differ only by the kernel phases. Marginals over shifted
+isotropic subspaces reproduce the MUB outcome probabilities in every
+convention. Those line sums are the Fourier slice of chi: on the subspace of
+class alpha, tr[rho P_alpha(s)] = p^{-n} sum_b eta^{(s - r(alpha)).b}
+chi(sum_r b_r g_r(alpha)), so all (p^n + 1) p^n marginals of a table are one
+digit DFT over the n digits of b, taken the first time any marginal is asked
+for and kept, in the big-endian outcome order of class_vectors; the shift
+phases eta^{-r(alpha).b} are a kernel constant. class_marginals reads that
+array; marginal_along reads frozen rows of Python floats (None where the
+entry is not real), built from it once per table, so each lookup is one tuple
+index. Tables are immutable and checked where they enter (p^{2n} values, a
+convention valid at (p, n)): each holds read-only copies of its values,
+density and marginals; equality and hashing go by identity. The kernel's
+gathers, code(-w) and the odd-p partial transpose x_1 -> -1 - x_1, are digit
+maps (spins.code_map), built without the (N, 2n) vectors, which are made only
+when read. The A operators, in every convention, are translates of A(0),
 built on request.
 """
 
@@ -52,7 +54,8 @@ import numpy as np
 from .fields import FieldError, is_prime, prime_inverse
 from .geometry import PhaseGeometry, phase_geometry
 from .mub import member_phases
-from .spins import _digits, digit_dft, frozen, index_code, spin_basis, spin_decompose, unit_phases
+from .spins import _digits, code_map, digit_dft, frozen, index_code, spin_basis
+from .spins import spin_decompose, unit_phases
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
 ZERO_TOL = 1e-10
@@ -99,13 +102,17 @@ class WignerKernel:
         self.dim = p**n
         self.geom: PhaseGeometry = phase_geometry(p, n)
         self.basis = spin_basis(p, n)
-        self.vectors = self.basis.vectors  # (N, 2n) in code order
-        self.N = len(self.vectors)
+        self.N = self.dim**2
         self.shifts = self._shift_table()
         self.eta_exp, self.i_exp = map(frozen, self._exponents())
         self.phases = frozen(unit_phases(p, self.eta_exp, self.i_exp))
-        self._neg_perm = frozen(index_code(p, -self.vectors))
+        self._neg_perm = frozen(code_map(p, -np.eye(2 * n, dtype=np.int64)))  # code(-w)
         self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """All index vectors, (N, 2n) in code order: the basis's, read-only."""
+        return self.basis.vectors
 
     # -- construction ---------------------------------------------------------
 
@@ -136,7 +143,8 @@ class WignerKernel:
         """eta and -i exponents of every kernel operator, in code order."""
         p, n = self.p, self.n
         if self.convention == "dynamics":
-            ww = (self.vectors[:, 0::2] * self.vectors[:, 1::2]).sum(axis=1)
+            # <w, w> = sum_j x_j y_j, an outer sum over the n (x_j, y_j) digit pairs
+            ww = functools.reduce(np.add.outer, [np.outer(range(p), range(p)).ravel()] * n).ravel()
             if p == 2:
                 return np.zeros_like(ww), ww % 4
             return (prime_inverse(2, p) * ww) % p, np.zeros_like(ww)
@@ -207,8 +215,7 @@ class WignerKernel:
     def _pt_perm(self) -> np.ndarray:
         """Code of (x0, y0, p-1-x1, y1) at code(x0, y0, x1, y1), n = 2 only:
         the odd-p partial transpose as a gather, read-only."""
-        codes = np.arange(self.N).reshape((self.p,) * 4)
-        return frozen(codes[:, :, ::-1].ravel())
+        return frozen(code_map(self.p, np.diag([1, 1, -1, 1]), (0, 0, -1, 0)))
 
     def outcome_code(self, s: Sequence[int]) -> int:
         """Big-endian code of s; entries reduce mod p. Raises ValueError
@@ -225,7 +232,11 @@ class WignerKernel:
 
 
 def _read_only_copy(table) -> None:
-    object.__setattr__(table, "values", frozen(np.array(table.values)))
+    _validate_convention(table.p, table.n, table.convention)
+    values, N = frozen(np.array(table.values)), table.p ** (2 * table.n)
+    if values.shape != (N,):
+        raise ValueError(f"a ({table.p}, {table.n}) table has {N} values, got {values.shape}")
+    object.__setattr__(table, "values", values)
 
 
 def _with_density(table, rho: np.ndarray):
@@ -237,8 +248,8 @@ def _with_density(table, rho: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class CharTable:
     """chi(w) = tr[rho G(w)] on V_{2n}(p), in index-code order; holds a
-    read-only copy of the values it is given, and its density once asked
-    for. Equality and hashing go by identity."""
+    read-only copy of the p^{2n} values it is given (checked, as is the
+    convention), and its density once asked for; equal only to itself."""
 
     p: int
     n: int
@@ -265,8 +276,8 @@ class CharTable:
 @dataclass(frozen=True, eq=False)
 class WignerTable:
     """W(v) on V_{2n}(p) in index-code order; real for Hermitian inputs.
-    Holds a read-only copy of the values it is given, its density and all
-    its marginals once asked for. Equality and hashing go by identity."""
+    Holds a read-only copy of the p^{2n} values it is given (checked, as is
+    the convention), its density and marginals once asked for; equal only to itself."""
 
     p: int
     n: int
@@ -347,7 +358,7 @@ def a_operator(p: int, n: int, u: Sequence[int], convention: Optional[str] = Non
     """Hermitian A(u) with W_rho(u) = tr[rho A(u)]."""
     convention = convention or default_convention(p, n)
     k = wigner_kernel(p, n, convention)
-    return k._a_operators(k.vectors[[k.code(u)]])[0]
+    return k._a_operators(k.geom.index_vectors(u)[None])[0]
 
 
 def marginal_along(wt: WignerTable, alpha: int, s: Sequence[int]) -> float:
@@ -435,53 +446,34 @@ class FactorizationReport:
         return self.max_deviation < ZERO_TOL
 
 
-def check_product_factorization(
-    tau: np.ndarray, mu: np.ndarray, p: int
-) -> FactorizationReport:
-    """Compare W_{tau (x) mu} against the pointwise product of one-subsystem
-    tables on all p^4 points. Odd p uses the separable convention on both
-    sides; p=2 uses the left convention, which transposes the second factor."""
-    tau = np.asarray(tau, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    if tau.shape != (p, p) or mu.shape != (p, p):
-        raise ValueError(f"factors must be {p}x{p}")
-    rho = np.kron(tau, mu)
-    if p % 2 == 1:
-        conv = "separable"
-        w2 = wigner_function(rho, p, 2, conv).values
-        wt = wigner_function(tau, p, 1, conv).values
-        wm = wigner_function(mu, p, 1, conv).values
-        twist = None
-    else:
-        conv = "p2-left"
-        w2 = wigner_function(rho, p, 2, conv).values
-        wt = wigner_function(tau, p, 1, "plain").values
-        wm = wigner_function(mu.T, p, 1, "plain").values
-        twist = 1
-    dev = float(np.abs(w2 - np.kron(wt, wm)).max())
-    return FactorizationReport(p, 2, conv, twist, dev)
+def check_product_factorization(tau: np.ndarray, mu: np.ndarray, p: int) -> FactorizationReport:
+    """check_complete_factorization([tau, mu], p)."""
+    return check_complete_factorization([tau, mu], p)
 
 
 def check_complete_factorization(factors: Sequence[np.ndarray], p: int) -> FactorizationReport:
-    """W of an n-fold product state against the product of n one-subsystem
-    tables (odd p, any n; p=2 only n=2 via the transpose twist)."""
+    """W of an n-fold product of p x p factors against the pointwise product
+    of their one-subsystem tables: separable on both sides for odd p, any n;
+    for p=2 only n=2, p2-left against plain tables of tau and mu^T."""
+    factors = [np.asarray(f, dtype=complex) for f in factors]
     n = len(factors)
-    if p == 2:
-        if n == 2:
-            return check_product_factorization(factors[0], factors[1], p)
+    if n == 0 or any(f.shape != (p, p) for f in factors):
+        raise ValueError(f"factors must be {p}x{p}, at least one of them")
+    rho = functools.reduce(np.kron, factors)
+    if p != 2:
+        conv, one, twist = "separable", "separable", None
+    elif n == 2:
+        conv, one, twist = "p2-left", "plain", 1
+        factors[1] = factors[1].T
+    else:
         raise ConventionError(
-            "no separability-preserving convention is available for p=2 with "
-            "more than two subsystems; only the n=2 transpose twist exists"
+            f"no separability-preserving convention exists for p=2 with n={n}; "
+            "only the n=2 transpose twist does"
         )
-    rho = np.eye(1, dtype=complex)
-    for f in factors:
-        rho = np.kron(rho, np.asarray(f, dtype=complex))
-    w_full = wigner_function(rho, p, n, "separable").values
-    prod = np.ones(1)
-    for f in factors:
-        prod = np.kron(prod, wigner_function(f, p, 1, "separable").values)
+    w_full = wigner_function(rho, p, n, conv).values
+    prod = functools.reduce(np.kron, [wigner_function(f, p, 1, one).values for f in factors])
     dev = float(np.abs(w_full - prod).max())
-    return FactorizationReport(p, n, "separable", None, dev)
+    return FactorizationReport(p, n, conv, twist, dev)
 
 
 def partial_transpose_matrix(rho: np.ndarray, p: int) -> np.ndarray:
@@ -506,9 +498,8 @@ def wigner_partial_transpose(wt: WignerTable) -> WignerTable:
     if wt.convention not in ("p2-left", "p2-right"):
         raise ConventionError("p=2 partial transpose needs a p2 convention")
     chi = char_from_wigner(wt)
-    k = wt.kernel
-    flip = np.where((k.vectors[:, 2] == 1) & (k.vectors[:, 3] == 1), -1.0, 1.0)
-    chi = CharTable(p, 2, wt.convention, chi.values * flip)
+    # -1 where the second block (x1, y1) is (1, 1), whose digit-pair code is 3
+    chi = CharTable(p, 2, wt.convention, chi.values * np.tile([1.0, 1.0, 1.0, -1.0], 4))
     return wigner_from_char(chi)
 
 

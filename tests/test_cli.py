@@ -148,6 +148,39 @@ def test_wigner_table_json_rejects_malformed_tables(edit, rng):
         wigner_table_from_json(_corrupt_table_json(rng, edit))
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda recs: recs[3].update(w=[1, 2, 3]), id="three-part-w"),
+    pytest.param(lambda recs: recs[3].update(w=[1]), id="one-part-w"),
+    pytest.param(lambda recs: recs[3].update(w=[[1, 2]]), id="nested-w"),
+    pytest.param(lambda recs: recs[3].update(w=float("nan")), id="nan-w"),
+    pytest.param(lambda recs: recs[3].update(w=[0.5, float("inf")]), id="infinite-imag-w"),
+    pytest.param(lambda recs: recs[3].update(w=None), id="null-w"),
+    pytest.param(lambda recs: recs[3].update(w="x"), id="string-w"),
+])
+def test_wigner_table_json_rejects_bad_entries(edit, rng):
+    with pytest.raises(ValueError, match='each "w"'):
+        wigner_table_from_json(_corrupt_table_json(rng, edit))
+
+
+def test_wigner_table_json_rejects_unknown_conventions(rng):
+    for conv in ("bogus", "separable"):  # separable does not exist at p = 2
+        data = wigner_table_to_json(wigner_function(random_density(2, rng), 2, 1, "plain"))
+        data["convention"] = conv
+        with pytest.raises(ValueError, match="convention"):
+            wigner_table_from_json(data)
+
+
+def test_wigner_table_json_keeps_entry_bits(rng):
+    # real entries and [re, im] pairs, signed zeros included, come back bit for bit
+    data = _corrupt_table_json(rng, lambda recs: None)
+    data["values"][1]["w"], data["values"][2]["w"] = -0.0, [-0.0, -0.0]
+    data["values"][3]["w"] = [0.25, -1e-300]
+    back = wigner_table_from_json(data).values
+    want = [complex(*r["w"]) if isinstance(r["w"], list) else complex(r["w"])
+            for r in data["values"]]
+    assert back.tobytes() == np.array(want).tobytes()
+
+
 def test_wigner_table_json_reduces_entries_mod_p(rng):
     def shift(recs):
         recs[0]["v"] = [3.0, 3]  # the origin, written with entries 3 = 0 mod 3
@@ -279,17 +312,6 @@ def test_cli_wigner_outputs(tmp_path, rng):
     assert pgm[3].split() == ["3", "3"]
     greys = [int(x) for row in pgm[5:8] for x in row.split()]
     assert min(greys) == 0 and max(greys) == 255
-
-
-def test_spin_coeff_json_round_trip(rng):
-    from mubwigner.serialize import spin_coeffs_from_json, spin_coeffs_to_json
-    from mubwigner.spins import spin_decompose
-
-    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    coeffs = spin_decompose(A, 3, 1)
-    back = spin_coeffs_from_json(spin_coeffs_to_json(coeffs))
-    assert set(back) == set(coeffs)
-    assert all(abs(back[k] - coeffs[k]) < 1e-15 for k in coeffs)
 
 
 def test_cli_wigner_superposition_state(tmp_path):

@@ -90,6 +90,38 @@ def test_complete_factorization_rejected_for_three_qubits(rng):
         check_complete_factorization(factors, 2)
 
 
+def test_complete_factorization_takes_the_p2_twist(rng):
+    # two qubits: the p2-left table against plain one-qubit tables of tau and mu^T
+    for _ in range(5):
+        tau = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rep = check_complete_factorization([tau, mu], 2)
+        w2 = wigner_function(np.kron(tau, mu), 2, 2, "p2-left").values
+        wt = wigner_function(tau, 2, 1, "plain").values
+        wm = wigner_function(mu.T, 2, 1, "plain").values
+        want = float(np.abs(w2 - np.kron(wt, wm)).max())
+        assert (rep.p, rep.n, rep.convention, rep.transpose_on) == (2, 2, "p2-left", 1)
+        assert rep.max_deviation == want < TOL
+        assert check_product_factorization(tau, mu, 2) == rep
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_complete_factorization_checks_its_factors(p, rng):
+    with pytest.raises(ValueError, match=f"factors must be {p}x{p}"):
+        check_complete_factorization([], p)
+    with pytest.raises(ValueError, match=f"factors must be {p}x{p}"):
+        check_complete_factorization([random_density(p, rng), np.eye(p + 1)], p)
+    with pytest.raises(ValueError, match=f"factors must be {p}x{p}"):
+        check_product_factorization(random_density(p, rng), np.ones(p), p)
+
+
+def test_complete_factorization_of_one_factor(rng):
+    tau = random_density(3, rng)
+    rep = check_complete_factorization([tau], 3)
+    assert (rep.n, rep.convention, rep.transpose_on) == (1, "separable", None)
+    assert rep.max_deviation == 0.0
+
+
 def test_non_density_factors_still_factor(rng):
     # the factorization identity is linear, not restricted to densities
     p = 3

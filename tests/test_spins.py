@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import SIGMA
 from mubwigner.spins import (
+    _digits,
     all_index_vectors,
     alpha_factor,
+    code_map,
     digit_dft,
     eta,
     index_code,
@@ -216,6 +219,66 @@ def test_index_code_of_a_stack_matches_scalar_loop(p, n):
     assert index_code(p, shifted[:, None, :]).shape == (len(vecs), 1)
     last = index_code(p, tuple(shifted[-1]))
     assert isinstance(last, int) and last == len(vecs) - 1
+
+
+def _stack_codes(p, M, t=0):
+    # the stack formula code_map replaces: code(M v + t) over the (p^k, k) digits of V_k(p)
+    M = np.asarray(M, dtype=np.int64)
+    return index_code(p, _digits(p, M.shape[1]) @ M.T + t)
+
+
+def _diag_map(n):
+    # rows x_j + y_j, then rows x_j, on the interleaved (x_0, y_0, x_1, ...) axes
+    I = np.eye(n, dtype=int)
+    return np.vstack([np.kron(I, [1, 1]), np.kron(I, [1, 0])])
+
+
+def _pair_map(a, b, n):
+    # (w, u) -> a w + b u on V_{4n}(p)
+    return np.kron([a, b], np.eye(2 * n, dtype=int))
+
+
+CODE_MAP_CASES = [
+    (2, np.eye(1, dtype=int), 0),
+    (3, np.eye(4, dtype=int), 0),
+    (5, -np.eye(2, dtype=int), 0),
+    (3, -np.eye(6, dtype=int), 0),
+    (3, np.diag([1, 1, -1, 1]), (0, 0, -1, 0)),
+    (13, np.diag([1, 1, -1, 1]), (0, 0, -1, 0)),
+    (2, _diag_map(1), 0),
+    (3, _diag_map(2), 0),
+    (2, _diag_map(4), 0),
+    (7, _diag_map(2), 0),
+    (2, _pair_map(1, 1, 2), 0),
+    (3, _pair_map(1, -1, 2), 0),
+    (5, _pair_map(-2, 2, 1), 0),
+    (3, _pair_map(-2, 2, 2), 0),
+    (3, [[1, 2, -5]], 4),            # one row, three axes
+    (5, [[0, 0], [3, -7], [0, 0]], (1, -2, 9)),  # zero rows, per-row shift
+    (2, np.zeros((2, 3), dtype=int), 1),
+    (7, np.zeros((0, 2), dtype=int), 0),     # no output digits: every code is 0
+]
+
+
+@pytest.mark.parametrize("p,M,t", CODE_MAP_CASES)
+def test_code_map_matches_stack_formula(p, M, t):
+    got = code_map(p, M, t)
+    assert got.dtype == np.int64 and got.shape == (p ** np.shape(M)[1],)
+    assert np.array_equal(got, _stack_codes(p, M, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_code_map_property(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    k = data.draw(st.integers(1, 4 if p < 7 else 3), label="k")
+    m = data.draw(st.integers(0, 5), label="m")
+    M = data.draw(hnp.arrays(np.int64, (m, k), elements=st.integers(-3 * p, 3 * p)), label="M")
+    M[data.draw(hnp.arrays(bool, m), label="zero rows")] = 0
+    M[:, data.draw(hnp.arrays(bool, k), label="zero columns")] = 0
+    t = data.draw(st.one_of(st.integers(-50, 50), st.lists(st.integers(-50, 50), min_size=m,
+                                                           max_size=m)), label="t")
+    assert np.array_equal(code_map(p, M, t), _stack_codes(p, M, t))
 
 
 # axes per prime, so that each transformed block holds at most a few thousand entries

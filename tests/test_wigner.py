@@ -32,6 +32,7 @@ from mubwigner.spins import (
     PhasedOperator,
     _characters,
     _digits,
+    all_index_vectors,
     eta,
     index_code,
     spin_matrix,
@@ -1062,3 +1063,71 @@ def test_kernel_constant_caches_are_read_only(p, n, conv):
     if p % 2 == 1 and n == 2:
         _assert_read_only(k._pt_perm)
         assert k._pt_perm is k._pt_perm
+
+
+# every kernel the suite builds: each convention valid at d <= 81, and the larger ones
+TABLE_CASES = COSET_CASES + [
+    (2, 7, "plain"), (2, 8, "plain"), (2, 8, "dynamics"), (3, 5, "plain"), (3, 5, "separable"),
+    (3, 5, "dynamics"), (11, 2, "separable"), (13, 2, "separable"),
+]
+
+
+@pytest.mark.parametrize("p,n,conv", TABLE_CASES)
+def test_index_tables_match_stack_formulas(p, n, conv):
+    # each digit-map table against its formula over the (N, 2n) stack of index vectors
+    k = wigner_kernel(p, n, conv)
+    vecs = all_index_vectors(p, n)
+    x, y = vecs[:, 0::2], vecs[:, 1::2]
+    tables = [(k.basis._diag, index_code(p, x + y) * p**n + index_code(p, x)),
+              (k._neg_perm, index_code(p, -vecs))]
+    if n == 2 and p % 2:
+        pt = vecs.copy()
+        pt[:, 2] = -1 - pt[:, 2]
+        tables.append((k._pt_perm, index_code(p, pt)))
+    for got, want in tables:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if conv == "dynamics":
+        ww = (x * y).sum(axis=1)
+        if p == 2:
+            want = np.zeros_like(ww), ww % 4
+        else:
+            want = (prime_inverse(2, p) * ww) % p, np.zeros_like(ww)
+        for got, w in zip((k.eta_exp, k.i_exp), want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+
+
+@pytest.mark.parametrize("p,n,conv", [(2, 8, "plain"), (2, 8, "dynamics"), (3, 5, "separable")])
+def test_tables_build_without_index_vector_stacks(p, n, conv, monkeypatch):
+    from mubwigner import geometry as geometry_mod, mub as mub_mod, spins as spins_mod
+    from mubwigner.spins import SpinBasis
+
+    def no_stack(*args):
+        raise AssertionError("an (N, 2n) stack of index vectors was built")
+
+    def one_code(p, iv):
+        if np.ndim(iv) > 1:
+            raise AssertionError("index_code was called on a stack of index vectors")
+        return index_code(p, iv)
+
+    with monkeypatch.context() as m:
+        m.setattr(spins_mod, "all_index_vectors", no_stack)
+        for mod in (spins_mod, wigner_mod, geometry_mod, mub_mod):
+            m.setattr(mod, "index_code", one_code)
+        m.setattr(wigner_mod, "spin_basis", SpinBasis)  # a fresh, uncached basis
+        k = wigner_mod.WignerKernel(p, n, conv)
+        k.char_values(np.eye(p**n) / p**n)
+    assert "vectors" not in k.basis.__dict__
+    assert np.array_equal(k.vectors, all_index_vectors(p, n))
+    assert k.vectors is k.basis.vectors
+    _assert_read_only(k.vectors)
+
+
+@pytest.mark.parametrize("cls", [CharTable, WignerTable])
+def test_tables_are_checked_where_they_enter(cls):
+    for values in (np.zeros(5), np.zeros((3, 3)), np.zeros(81)):
+        with pytest.raises(ValueError, match="has 9 values"):
+            cls(3, 1, "plain", values)
+    for p, n, conv in [(3, 1, "bogus"), (2, 1, "separable"), (3, 2, "p2-left")]:
+        with pytest.raises(ConventionError):
+            cls(p, n, conv, np.zeros(p ** (2 * n)))
+    assert cls(3, 1, "plain", np.arange(9.0)).values.shape == (9,)
