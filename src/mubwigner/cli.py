@@ -53,7 +53,7 @@ KNOWN_CHECKS = ("marginals", "plancherel", "separability", "positivity", "pt")
 def _common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, required=True, help="prime subsystem dimension")
     sp.add_argument("--n", type=int, default=1, help="number of subsystems (d = p^n)")
-    sp.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
+    sp.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance (finite, > 0)")
     sp.add_argument("--seed", type=int, default=0, help="seed for random-state inputs")
     sp.add_argument("--out", type=str, required=True, help="output path or prefix")
 
@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         type=str,
         default="marginals,plancherel,positivity",
-        help="comma list from " + ",".join(KNOWN_CHECKS),
+        help="comma list from " + ",".join(KNOWN_CHECKS) + "; separability (n=2) tests the "
+             "factorisation law on tr_B rho (x) tr_A rho only: a Bell state passes it, not pt",
     )
 
     sp = sub.add_parser("evolve", help="evolve a state under a Hamiltonian")
@@ -291,6 +292,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if not 0 < args.tol < float("inf"):  # NaN fails both comparisons
+            ap.error(f"argument --tol: must be finite and > 0, got {args.tol}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -5,23 +5,23 @@ spin operators T_r commute, each one's p-th power is the identity, and the
 products prod_r T_r^{b_r} over b in V_n(p) make up the class. Every member is
 monomial: it sends row m to column m + y_b with a phase, where (x_b, y_b) =
 sum_r b_r g_r(alpha). The projector P_alpha(s) = (1/p^n) sum_b eta^{s.b}
-prod_r T_r^{b_r} has rank one, so each basis is held as p^n unit vectors:
-the diagonals of all P_alpha(s) are one digit DFT over b (spins.digit_dft,
-O(d^2 n p) per class, overtaken by an FFT only for n = 1 and p above about
-150), and the column of P_alpha(s) through its largest diagonal entry is its
-vector, up to norm.
+prod_r T_r^{b_r} has rank one, so each basis is held as p^n unit vectors in
+closed form (Wootters and Fields 1989). Class 0 is the clock eigenbasis,
+P_0(s) = |-s><-s|. In every other class y_b = gy(alpha)^T b runs over all of
+V_n(p), so column 0 of P_alpha(s) is the vector itself, up to norm:
+psi_s[code(-y_b)] = d^-1/2 phase_b eta^{s.b - x_b.y_b}, one phased DFT of the
+class members, with psi_s(0) = d^-1/2.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import is_prime, FieldError
 from .geometry import PhaseGeometry, _span, phase_geometry
-from .spins import _digits, digit_dft, frozen, index_code, unit_phases
+from .spins import _digits, code_map, frozen, index_code, unit_phases
 
 UNBIASED_TOL = 1e-10
 
@@ -68,27 +68,17 @@ def class_vectors(geom: PhaseGeometry, alpha: int) -> np.ndarray:
     """Unit vectors of the p^n projectors of one class, shape (d, d): row
     code(s) (big-endian) spans P_alpha(s) = prod_r (1/p) sum_b (eta^{s_r} T_r)^b."""
     p, n, d = geom.p, geom.n, geom.dim
+    gy = geom.generators(alpha)[:, 1::2]
+    if not gy.any():  # the clock class: psi_s = e_{-s}
+        return np.eye(d, dtype=complex)[code_map(p, -np.eye(n))]
     w, e, i_exp = class_members(geom, alpha)
-    x, y = w[:, 0::2], w[:, 1::2]
-    digits = _digits(p, n)  # b, s and row labels m alike
-    # diagonal: members with y_b = 0 hold phase_b eta^{x_b.m} at (m, m), so
-    # diag P_s[m] = (1/d) sum_b eta^{s.b} D[b, m] is a digit DFT over b
-    D = np.zeros((d, d), dtype=complex)
-    on = ~y.any(axis=1)
-    D[on] = unit_phases(p, e[on, None] + x[on] @ digits.T, i_exp[on, None])
-    diag = digit_dft(D.reshape((p,) * n + (d,)), p, (1,) * n + (0,)).reshape(d, d).real / d
-    k = diag.argmax(axis=1)
-    # column k of P_s: member b puts phase_b eta^{x_b.m} at row m = k - y_b
-    rows = digits[k][:, None, :] - y[None, :, :]  # [s, b, :]
-    phase = unit_phases(
-        p, digits @ digits.T + e + (x[None] * rows).sum(axis=2), i_exp[None, :]
-    ) / d
-    at = (np.arange(d)[:, None] * d + index_code(p, rows)).ravel()
-    col = np.bincount(at, phase.real.ravel(), d * d) + 1j * np.bincount(
-        at, phase.imag.ravel(), d * d
-    )
-    # P_s[:, k] = psi psi_k^* and P_s[k, k] = |psi_k|^2
-    return col.reshape(d, d) / np.sqrt(diag[np.arange(d), k])[:, None]
+    b = _digits(p, n)  # b and s alike
+    V = np.empty((d, d), dtype=complex)
+    # only b = 0 has y_b = 0, so P_alpha(s)[0, 0] = 1/d and psi_s = sqrt(d) P_alpha(s)[:, 0]
+    V[:, code_map(p, -gy.T)] = unit_phases(
+        p, b @ b.T + e - (w[:, 0::2] * w[:, 1::2]).sum(axis=1), i_exp
+    ) / np.sqrt(d)
+    return V
 
 
 def mub_projector(geom: PhaseGeometry, alpha: int, s: tuple) -> MubProjector:
@@ -104,7 +94,7 @@ def full_mub(p: int, n: int = 1, geom: PhaseGeometry | None = None) -> list[list
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         geom = phase_geometry(p, n)
-    outcomes = list(itertools.product(range(p), repeat=geom.n))
+    outcomes = [tuple(s) for s in _digits(geom.p, geom.n).tolist()]
     bases = []
     for alpha in range(geom.num_classes):
         vecs = frozen(class_vectors(geom, alpha))

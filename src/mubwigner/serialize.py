@@ -53,7 +53,10 @@ def _complex_json(M: np.ndarray) -> str:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    arr = np.array(data, dtype=float)
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError):  # ragged, or an object or string as an entry
+        arr = np.zeros(0)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix JSON must be rows of [re, im] pairs")
     if not np.isfinite(arr).all():
@@ -72,11 +75,14 @@ def _class_label(alpha, p: int, n: int) -> int:
     if alpha == "inf":
         return p**n
     digits = alpha if isinstance(alpha, list) else [alpha]
-    if not all(float(a).is_integer() for a in digits):
-        raise ValueError(f"class label {alpha!r} is not an integer")
-    if isinstance(alpha, list):
-        return sum(int(a) % p * p**k for k, a in enumerate(alpha))
-    return int(alpha)
+    try:
+        if all(float(a).is_integer() for a in digits):
+            if digits is alpha:
+                return sum(int(a) % p * p**k for k, a in enumerate(alpha))
+            return int(alpha)
+    except (TypeError, ValueError):  # null, an object, a nested list or a string
+        pass
+    raise ValueError(f"class label {alpha!r} is not an integer")
 
 
 def resolve_state(data, p: int, n: int, rng: int | np.random.Generator | None = None) -> np.ndarray:
@@ -88,7 +94,7 @@ def resolve_state(data, p: int, n: int, rng: int | np.random.Generator | None = 
         if "alpha" in data and "s" in data:
             alpha = _class_label(data["alpha"], p, n)
             geom = phase_geometry(p, n)
-            proj: MubProjector = mub_projector(geom, alpha, tuple(data["s"]))
+            proj: MubProjector = mub_projector(geom, alpha, data["s"])
             return proj.matrix
         if "random" in data:
             rng = np.random.default_rng(0 if rng is None else rng)

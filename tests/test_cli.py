@@ -53,7 +53,9 @@ def test_resolve_state_shorthands():
 
 @pytest.mark.parametrize("cmd", ["wigner", "check", "evolve"])
 @pytest.mark.parametrize("state", [{"alpha": 1.5, "s": [0]}, {"alpha": [1.7], "s": [0]},
-                                   {"alpha": 1, "s": [0.5]}])
+                                   {"alpha": 1, "s": [0.5]}, {"alpha": 0, "s": 3},
+                                   {"alpha": None, "s": [0]},
+                                   {"alpha": [1, None], "s": [0, 0]}])
 def test_cli_rejects_non_integer_state_labels(tmp_path, capsys, cmd, state):
     path = write_json(tmp_path / "s.json", state)
     hfile = write_json(tmp_path / "H.json", matrix_to_json(np.eye(3)))
@@ -611,6 +613,51 @@ def test_cli_evolve_rejects_nan_hamiltonian(tmp_path, rng):
     assert rc == 2
     with pytest.raises(ValueError, match="Hermitian"):
         build_char_generator(H, 3, 1)
+
+
+@pytest.mark.parametrize("H", [{}, [[[0, 0], {}]], None])
+def test_cli_evolve_rejects_malformed_hamiltonian(tmp_path, capsys, H):
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    hfile = write_json(tmp_path / "H.json", H)
+    out = tmp_path / "t.jsonl"
+    rc = main(["evolve", "--p", "3", "--n", "1", "--input", state, "--hamiltonian", hfile,
+               "--out", str(out)])
+    assert rc == 2
+    assert "rows of [re, im] pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,tol", [("mub", "nan"), ("wigner", "nan"), ("check", "-1"),
+                                     ("check", "0"), ("evolve", "inf")])
+def test_cli_rejects_bad_tol_before_any_work(tmp_path, monkeypatch, capsys, cmd, tol):
+    from mubwigner import cli
+
+    def refuse(*args):
+        raise AssertionError("work started before --tol was validated")
+
+    monkeypatch.setattr(cli, "_validate_pn", refuse)
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(np.eye(3)))
+    extra = {"mub": [], "evolve": ["--input", state, "--hamiltonian", hfile]}.get(
+        cmd, ["--input", state])
+    out = tmp_path / "out"
+    assert main([cmd, "--p", "3", "--n", "1", *extra, "--tol", tol, "--out", str(out)]) == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_check_separability_tests_the_reduced_product(tmp_path):
+    # the check tests the factorisation law on tr_B rho (x) tr_A rho, which a
+    # Bell state meets exactly; only pt flags its entanglement
+    bell = np.zeros((4, 4))
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    state = write_json(tmp_path / "bell.json", matrix_to_json(bell))
+    rc = main(["check", "--p", "2", "--n", "2", "--input", state,
+               "--checks", "separability,pt", "--out", str(tmp_path / "rep.json")])
+    assert rc == 1
+    checks = json.loads((tmp_path / "rep.json").read_text())["checks"]
+    assert checks["separability"]["passed"] and checks["separability"]["max_deviation"] == 0
+    assert not checks["pt"]["passed"] and checks["pt"]["min_eigenvalue"] < -0.4
 
 
 def test_cli_wigner_default_formats_follow_n(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from conftest import SIGMA
 from dense_oracle import class_generator_ops, commuting_class, mub_projector_matrix
 from mubwigner.geometry import phase_geometry
-from mubwigner.mub import class_members, full_mub, mub_projector, verify_mub
-from mubwigner.spins import PhasedOperator, phased_spin, spin_matrix
+from mubwigner.mub import class_members, class_vectors, full_mub, mub_projector, verify_mub
+from mubwigner.spins import PhasedOperator, _digits, index_code, phased_spin, spin_matrix
 
 # every (p, n) with d = p^n <= 27
 SMALL = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
@@ -179,6 +179,45 @@ def test_mub_beyond_dense_reach():
     assert np.abs(np.abs(V[5].conj() @ V[d].T) ** 2 - 1 / d).max() < TOL
 
 
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1), (7, 2)])
+def test_clock_class_rows_are_unit_vectors(p, n):
+    # class 0 is the clock eigenbasis: row code(s) is e_{code(-s)}
+    d = p**n
+    want = np.zeros((d, d))
+    want[np.arange(d), index_code(p, -_digits(p, n))] = 1
+    assert np.array_equal(class_vectors(phase_geometry(p, n), 0), want)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1), (7, 2), (3, 4)])
+def test_flat_classes_in_closed_form(p, n):
+    # every class alpha >= 1 is flat, with psi_s(0) = d^-1/2 for every s
+    geom, d = phase_geometry(p, n), p**n
+    for alpha in range(1, d + 1):
+        V = class_vectors(geom, alpha)
+        assert np.abs(np.abs(V) ** 2 - 1 / d).max() < 1e-15
+        assert np.array_equal(V[:, 0], np.full(d, 1 / np.sqrt(d)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_qubit_vectors_are_exact_quarter_phases(n):
+    # at p = 2, sqrt(d) psi is exactly 1, -1, i or -i in every class alpha >= 1
+    geom, d = phase_geometry(2, n), 2**n
+    units = np.array([1, -1, 1j, -1j]) / np.sqrt(d)
+    for alpha in range(1, d + 1):
+        assert np.isin(class_vectors(geom, alpha), units).all()
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (2, 8)])
+def test_closed_form_classes_unbiased_beyond_dense_reach(p, n):
+    # orthonormal classes, pairwise overlaps 1/d, checked on raw Gram blocks
+    geom, d = phase_geometry(p, n), p**n
+    V = [class_vectors(geom, alpha) for alpha in (0, 1, d // 2, d)]
+    for a, Va in enumerate(V):
+        assert np.abs(Va.conj() @ Va.T - np.eye(d)).max() < 1e-12
+        for Vb in V[a + 1:]:
+            assert np.abs(np.abs(Va.conj() @ Vb.T) ** 2 - 1 / d).max() < 1e-12
+
+
 @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 2)])
 def test_verify_mub_fails_on_nan(where):
     alpha, s, i = where
@@ -234,6 +273,9 @@ def test_mub_projector_reduces_integer_valued_outcomes():
     {"alpha": [1.7], "s": [0]},
     {"alpha": 1, "s": [0.5]},
     {"alpha": float("nan"), "s": [0]},
+    {"alpha": 0, "s": 3},
+    {"alpha": None, "s": [0]},
+    {"alpha": [1, None], "s": [0, 0]},
 ])
 def test_state_shorthand_rejects_non_integers(state):
     from mubwigner.serialize import resolve_state
