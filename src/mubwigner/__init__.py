@@ -26,15 +26,11 @@ from .geometry import (
     vector_symplectic,
 )
 from .spins import (
-    PhasedOperator,
     alpha_factor,
     eta,
-    phased_spin,
     spin_basis,
     spin_decompose,
     spin_matrix,
-    spin_power,
-    spin_product,
     spin_projector,
     spin_recompose,
     tensor_spin,
@@ -84,7 +80,6 @@ from .dynamics import (
     build_wigner_generator,
     char_dynamics_table,
     density_from_dynamics_char,
-    density_from_spin_coeffs,
     evolve,
     evolve_trajectory,
     spin_coeff_bridge,

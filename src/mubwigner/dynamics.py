@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import is_prime, FieldError
-from .spins import code_map, eta, frozen, spin_recompose, unit_phases
+from .spins import code_map, frozen, unit_phases
 from .wigner import (
     CharTable,
     ConventionError,
@@ -54,7 +54,9 @@ class UnsupportedDynamicsError(ValueError):
 class GeneratorMatrix:
     """A Hamiltonian with its cached eigendecomposition, the last evolved
     table's density in that eigenbasis and, built on first read, the N x N
-    generator L of its table flow; all are read-only."""
+    generator L of its table flow; all are read-only. H is checked when it
+    is built: d x d, finite, and Hermitian relative to its scale,
+    max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
 
     kind: str  # "char" | "wigner"
     p: int
@@ -66,18 +68,19 @@ class GeneratorMatrix:
 
     def __post_init__(self):
         H = frozen(np.array(self.hamiltonian, dtype=complex))
+        d = self.p**self.n
+        if H.shape != (d, d):
+            raise ValueError(f"expected a {d}x{d} Hamiltonian, got {H.shape}")
+        dev, scale = np.abs(H - H.conj().T).max(), np.abs(H).max()
+        # an infinite entry would make the bound infinite; a NaN fails both comparisons
+        if not (scale < np.inf and dev <= HERMITICITY_TOL * max(1.0, scale)):
+            raise ValueError(f"Hamiltonian is not Hermitian and finite (defect {dev})")
         object.__setattr__(self, "hamiltonian", H)
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """(lambda, Q) with H = Q diag(lambda) Q^dagger."""
         if self._eig is None:
-            H = self.hamiltonian
-            dev = np.abs(H - H.conj().T).max()
-            # relative to the scale of H
-            tol = HERMITICITY_TOL * max(1.0, np.abs(H).max())
-            if not dev <= tol:  # a NaN defect fails too
-                raise ValueError(f"generator is not Hermitian (defect {dev})")
-            lam, Q = np.linalg.eigh(H)
+            lam, Q = np.linalg.eigh(self.hamiltonian)
             object.__setattr__(self, "_eig", (frozen(lam), frozen(Q)))
         return self._eig
 
@@ -94,15 +97,6 @@ class GeneratorMatrix:
 def _check_supported(p: int) -> None:
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-
-
-def _hermitian_check(H: np.ndarray, d: int) -> np.ndarray:
-    H = np.asarray(H, dtype=complex)
-    if H.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} Hamiltonian, got {H.shape}")
-    if not np.abs(H - H.conj().T).max() <= 1e-8:  # a NaN defect fails too
-        raise ValueError("Hamiltonian must be Hermitian and finite")
-    return H
 
 
 def _structure_phases(kernel) -> np.ndarray:
@@ -136,10 +130,11 @@ def _wigner_matrix(H: np.ndarray, p: int, n: int) -> np.ndarray:
     vec = kernel.vectors
     # code(2(y - v)) for every (v, y)
     diff2 = code_map(p, np.kron([-2, 2], np.eye(2 * n, dtype=int))).reshape(kernel.N, kernel.N)
-    w = eta(p)
     X, Y = vec[:, 0::2], vec[:, 1::2]
-    voy = (Y @ X.T - X @ Y.T) % p  # [v, y] = v o y mod p
-    return (w ** ((2 * voy) % p) * chiH[diff2] - w ** ((2 * voy.T) % p) * chiH[diff2.T]) / p**n
+    voy = Y @ X.T - X @ Y.T  # [v, y] = v o y
+    return (
+        unit_phases(p, 2 * voy) * chiH[diff2] - unit_phases(p, 2 * voy.T) * chiH[diff2.T]
+    ) / p**n
 
 
 def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
@@ -147,7 +142,7 @@ def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     Neumann flow, built only when .matrix is read; evolve() applies exp(-iLt)
     so that tables follow rho(t) = e^{-iHt} rho e^{+iHt} exactly."""
     _check_supported(p)
-    return GeneratorMatrix("char", p, n, _hermitian_check(H, p**n))
+    return GeneratorMatrix("char", p, n, H)
 
 
 def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
@@ -158,7 +153,7 @@ def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
             "no Wigner-space generator exists for p=2; evolve the "
             "characteristic table instead"
         )
-    return GeneratorMatrix("wigner", p, n, _hermitian_check(H, p**n))
+    return GeneratorMatrix("wigner", p, n, H)
 
 
 def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
@@ -216,8 +211,9 @@ def density_from_dynamics_char(chi: CharTable) -> np.ndarray:
     return density_from_char(chi)
 
 
-def spin_coeff_bridge(chi: CharTable) -> dict:
-    """Spin coefficients s_u = tr(S_u^dagger rho) from a dynamics table.
+def spin_coeff_bridge(chi: CharTable) -> np.ndarray:
+    """Spin coefficients s_u = tr(S_u^dagger rho) from a dynamics table, in
+    code order (spin_recompose takes them back to rho).
 
     s_u = phi(u) chi(-u) with phi the kernel phase; reduces to
     eta^{2^{-1} u_0 u_1} chi(-u) for odd p and (-i)^{u_0 u_1} chi(u) at p=2.
@@ -225,9 +221,4 @@ def spin_coeff_bridge(chi: CharTable) -> dict:
     if chi.convention != "dynamics":
         raise ConventionError("the bridge is defined for the dynamics convention")
     k = chi.kernel
-    return dict(zip(map(tuple, k.vectors.tolist()), k.phases * chi.values[k._neg_perm]))
-
-
-def density_from_spin_coeffs(coeffs: dict, p: int, n: int) -> np.ndarray:
-    """rho = (1/p^n) sum_u s_u S_u."""
-    return spin_recompose(coeffs, p, n)
+    return k.phases * chi.values[k._neg_perm]

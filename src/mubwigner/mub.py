@@ -43,7 +43,8 @@ def member_phases(gens, p: int, with_alpha: bool = True) -> tuple[np.ndarray, np
     """eta exponents and -i exponents of the products prod_r S_{g_r}^{b_r}
     (alpha-corrected with ``with_alpha``), for b in big-endian code order:
     shape (p^n,) each for one generator set (n, 2n), (..., p^n) for a stack.
-    The phases follow PhasedOperator exactly."""
+    The dense oracle's scalar products of powers (tests/dense_oracle.py)
+    checks them exponent for exponent."""
     g = np.asarray(gens, dtype=np.int64)
     gx, gy = g[..., 0::2], g[..., 1::2]
     b = _digits(p, g.shape[-2])

@@ -1,19 +1,22 @@
-"""Generalized spin matrices on H_d and their exact phase algebra.
+"""Generalized spin matrices on H_d, held matrix-free.
 
 The unitary basis is S_{j,k} = sum_m eta^{jm} |m><m+k| with eta = e^{2 pi i/d}
 and index arithmetic mod d. Tensor products over n subsystems of dimension p
 are indexed by vectors in V_{2n}(p). Products, powers and adjoints close on
-the set {eta_p^a (-i)^b S_index}, so phases are carried as integer exponents;
-each S_w is monomial, so basis-wide traces and sums are a gather plus a
-digit DFT (SpinBasis, digit_dft): V_{2n}(p) is a product of 2n copies of Z_p,
-so every table transform is a length-p DFT along each of its axes. Code order
-is the C order of that grid, so each index table is a digit map (code_map).
+the set {eta_p^a (-i)^b S_index}, so phases are integer exponent arrays
+(mub.member_phases for products of generator powers, the kernel's eta_exp
+and i_exp), turned into numbers only by unit_phases. Each S_w is monomial,
+so basis-wide traces and sums are a gather plus a digit DFT (SpinBasis,
+digit_dft): V_{2n}(p) is a product of 2n copies of Z_p, so every table
+transform is a length-p DFT along each of its axes. Code order is the C
+order of that grid, so each index table is a digit map (code_map), and spin
+coefficients are arrays in code order. The dense matrices here (spin_matrix,
+tensor_spin, spin_projector) are for small d only.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +33,9 @@ def eta(d: int) -> complex:
 
 def spin_matrix(d: int, j: int, k: int) -> np.ndarray:
     """S_{j,k} = sum_m eta^{jm} |m><m+k| (unitary; S_{0,0} is the identity)."""
-    j %= d
-    k %= d
+    j, k, m = j % d, k % d, np.arange(d)
     S = np.zeros((d, d), dtype=complex)
-    w = eta(d)
-    for m in range(d):
-        S[m, (m + k) % d] = w ** (j * m)
+    S[m, (m + k) % d] = unit_phases(d, j * m)
     return S
 
 
@@ -56,107 +56,19 @@ _MINUS_I_POWERS = np.array([(-1j) ** k for k in range(4)])
 
 
 def unit_phases(p: int, eta_exp, i_exp=0):
-    """eta_p^eta_exp * (-i)^i_exp, elementwise over integer exponent arrays."""
+    """eta_p^eta_exp * (-i)^i_exp, elementwise over integer exponent arrays
+    (p may be any modulus >= 1)."""
     i_exp = np.asarray(i_exp)
     if p == 2:  # keep qubit phases exact: eta_2 = -1 = (-i)^2
         return _MINUS_I_POWERS[(2 * np.asarray(eta_exp) + i_exp) % 4]
     # exp of each angle, not powers of eta(p), whose error grows with p (5e-15 at p=251)
     roots = np.exp(2j * np.pi / p * np.arange(p))
-    return roots[np.asarray(eta_exp) % p] * _MINUS_I_POWERS[i_exp % 4]
-
-
-def _binom2(m: int) -> int:
-    # integer m(m-1)/2, evaluated before any reduction mod p
-    return (m * (m - 1)) // 2
-
-
-@dataclass(frozen=True)
-class PhasedOperator:
-    """eta_p^eta_exp * (-i)^i_exp * S_index on (C^p)^{tensor n}.
-
-    index has length 2n, blocks (x^(j), y^(j)). i_exp is only ever nonzero
-    for p = 2, where the alpha factors introduce quarter phases.
-    """
-
-    p: int
-    n: int
-    index: tuple
-    eta_exp: int = 0
-    i_exp: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", tuple(c % self.p for c in self.index))
-        object.__setattr__(self, "eta_exp", self.eta_exp % self.p)
-        object.__setattr__(self, "i_exp", self.i_exp % 4)
-        if len(self.index) != 2 * self.n:
-            raise ValueError(f"index must have {2 * self.n} components")
-
-    @property
-    def phase(self) -> complex:
-        return complex(unit_phases(self.p, self.eta_exp, self.i_exp))
-
-    def __matmul__(self, other: "PhasedOperator") -> "PhasedOperator":
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("dimension mismatch")
-        e = self.eta_exp + other.eta_exp
-        for b in range(self.n):
-            # per block: S_{j,k} S_{s,t} = eta^{ks} S_{j+s, k+t}
-            e += self.index[2 * b + 1] * other.index[2 * b]
-        idx = tuple(a + b for a, b in zip(self.index, other.index))
-        return PhasedOperator(self.p, self.n, idx, e, self.i_exp + other.i_exp)
-
-    def power(self, m: int) -> "PhasedOperator":
-        if m < 0:
-            raise ValueError("power must be non-negative")
-        e = m * self.eta_exp
-        for b in range(self.n):
-            # S_{j,k}^m = eta^{m(m-1)jk/2} S_{mj,mk}; the binomial is an integer
-            e += _binom2(m) * self.index[2 * b] * self.index[2 * b + 1]
-        idx = tuple(m * c for c in self.index)
-        return PhasedOperator(self.p, self.n, idx, e, m * self.i_exp)
-
-    def adjoint(self) -> "PhasedOperator":
-        e = -self.eta_exp
-        for b in range(self.n):
-            # S_{j,k}^dagger = eta^{jk} S_{-j,-k}
-            e += self.index[2 * b] * self.index[2 * b + 1]
-        idx = tuple(-c for c in self.index)
-        return PhasedOperator(self.p, self.n, idx, e, -self.i_exp)
-
-    def matrix(self) -> np.ndarray:
-        M = np.eye(1, dtype=complex)
-        for b in range(self.n):
-            M = np.kron(M, spin_matrix(self.p, self.index[2 * b], self.index[2 * b + 1]))
-        return self.phase * M
-
-
-def phased_spin(p: int, index: tuple, with_alpha: bool = False) -> PhasedOperator:
-    """Phase-free S_index, or the alpha-corrected version for p=2.
-
-    With ``with_alpha`` every qubit block equal to (1,1) contributes one power
-    of -i, so the resulting operator squares to the identity.
-    """
-    n = len(index) // 2
-    if len(index) != 2 * n:
-        raise ValueError("index must have even length")
-    i_exp = 0
-    if with_alpha and p == 2:
-        i_exp = sum(
-            1 for b in range(n) if (index[2 * b] % 2, index[2 * b + 1] % 2) == (1, 1)
-        )
-    return PhasedOperator(p, n, tuple(index), 0, i_exp)
-
-
-def spin_product(p: int, a: tuple, b: tuple) -> PhasedOperator:
-    """S_a S_b as an exact PhasedOperator; a, b in V_2(p) or V_{2n}(p)."""
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return phased_spin(p, a) @ phased_spin(p, b)
-
-
-def spin_power(p: int, idx: tuple, m: int) -> PhasedOperator:
-    """S_idx^m as an exact PhasedOperator."""
-    return phased_spin(p, idx).power(m)
+    out = roots[np.asarray(eta_exp) % p]
+    if i_exp.any():
+        return out * _MINUS_I_POWERS[i_exp % 4]
+    # (-i)^0 = 1 changes no entry, so only the broadcast shape is kept
+    shape = np.broadcast_shapes(np.shape(out), i_exp.shape)
+    return out if np.shape(out) == shape else np.broadcast_to(out, shape).copy()
 
 
 def spin_projector(p: int, idx: tuple, r: int) -> np.ndarray:
@@ -170,7 +82,7 @@ def spin_projector(p: int, idx: tuple, r: int) -> np.ndarray:
     j, k = idx[0] % p, idx[1] % p
     if (j, k) == (0, 0):
         raise ValueError("projector requires a non-identity index")
-    K = alpha_factor(p, j, k) * eta(p) ** (r % p) * spin_matrix(p, j, k)
+    K = alpha_factor(p, j, k) * unit_phases(p, r) * spin_matrix(p, j, k)
     P = np.zeros((p, p), dtype=complex)
     M = np.eye(p, dtype=complex)
     for _ in range(p):
@@ -181,7 +93,11 @@ def spin_projector(p: int, idx: tuple, r: int) -> np.ndarray:
 
 def tensor_spin(p: int, iv: tuple) -> np.ndarray:
     """Kronecker product of single-subsystem spin matrices, block 0 leftmost."""
-    return phased_spin(p, tuple(iv)).matrix()
+    iv = tuple(iv)
+    if len(iv) % 2:
+        raise ValueError("index must have even length")
+    blocks = [spin_matrix(p, j, k) for j, k in zip(iv[0::2], iv[1::2])]
+    return functools.reduce(np.kron, blocks, np.eye(1, dtype=complex))
 
 
 def _digits(p: int, n: int) -> np.ndarray:
@@ -300,18 +216,17 @@ class SpinBasis:
         return M.reshape(d, d).T
 
 
-def spin_decompose(A: np.ndarray, p: int, n: int) -> dict:
-    """Coefficients s_u = tr(S_u^dagger A), so that A = (1/p^n) sum s_u S_u."""
+def spin_decompose(A: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Coefficients s_u = tr(S_u^dagger A) in code order, so that
+    A = (1/p^n) sum s_u S_u."""
     A = np.asarray(A, dtype=complex)
     d = p**n
     if A.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix, got {A.shape}")
-    basis = spin_basis(p, n)
-    coeffs = np.conj(basis.traces(A.conj().T))
-    return dict(zip(map(tuple, basis.vectors.tolist()), coeffs))
+    return np.conj(spin_basis(p, n).traces(A.conj().T))
 
 
-def spin_recompose(coeffs: dict, p: int, n: int) -> np.ndarray:
-    """Inverse of spin_decompose."""
+def spin_recompose(coeffs, p: int, n: int) -> np.ndarray:
+    """(1/p^n) sum_u s_u S_u for coefficients in code order; inverts spin_decompose."""
     basis = spin_basis(p, n)
-    return basis.combine([coeffs[iv] for iv in map(tuple, basis.vectors.tolist())]) / basis.dim
+    return basis.combine(coeffs) / basis.dim

@@ -520,14 +520,14 @@ class PositivityResult:
         return frozen(np.linalg.eigh(self.rho)[1][:, 0].copy())
 
     @functools.cached_property
-    def witness(self) -> Optional[dict]:
-        """Spin coefficients of B = |phi><phi|, built when first read:
-        tr(rho B B^dagger) < 0 for phi the eigenvector; None when positive."""
+    def witness(self) -> Optional[np.ndarray]:
+        """Spin coefficients c_w of B = |phi><phi| = sum_w c_w S_w in code
+        order, read-only and built when first read: tr(rho B B^dagger) < 0
+        for phi the eigenvector; None when positive."""
         if self.eigenvector is None:
             return None
         phi = self.eigenvector
-        coeffs = spin_decompose(np.outer(phi, phi.conj()), self.p, self.n)
-        return {idx: c / self.p**self.n for idx, c in coeffs.items()}
+        return frozen(spin_decompose(np.outer(phi, phi.conj()), self.p, self.n) / self.p**self.n)
 
 
 def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> PositivityResult:

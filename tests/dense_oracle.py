@@ -1,11 +1,15 @@
-"""Dense reference constructions for tests at small d.
+"""Dense and scalar reference constructions for tests at small d.
 
-The library is matrix-free; these build the objects it avoids, from
-independent pieces: every S_w as a Kronecker product of single-subsystem
-matrices (PhasedOperator.matrix), the symplectic Fourier matrix
-eta^{v o w} / N from the kernel's index vectors, and each MUB projector as a
-product of powers of dense generator matrices. Memory grows as d^4, so keep
-them to d <= 27.
+The library is matrix-free and carries phases as integer exponent arrays;
+these build the objects it avoids, from independent pieces. PhasedOperator
+is the scalar phase algebra of spin operators, one exact exponent product,
+power and adjoint at a time: the reference that the library's exponent
+arrays (mub.member_phases, the kernel's eta_exp and i_exp) must equal
+exactly. The dense pieces are every S_w as a Kronecker product of
+single-subsystem matrices (PhasedOperator.matrix), the symplectic Fourier
+matrix eta^{v o w} / N from the kernel's index vectors, and each MUB
+projector as a product of powers of dense generator matrices. Memory grows
+as d^4, so keep them to d <= 27.
 
 The field route to the geometry lives here too: the map M and the class
 generators g_r(alpha) = M(lambda^r u_alpha) by FieldElement arithmetic, one
@@ -14,12 +18,107 @@ products with the generators; the library builds both as integer arrays.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from mubwigner.fields import FieldError, prime_inverse
 from mubwigner.mub import class_members
-from mubwigner.spins import PhasedOperator, eta, index_code, phased_spin
+from mubwigner.spins import eta, index_code, spin_matrix, unit_phases
+
+
+def _binom2(m: int) -> int:
+    # integer m(m-1)/2, evaluated before any reduction mod p
+    return (m * (m - 1)) // 2
+
+
+@dataclass(frozen=True)
+class PhasedOperator:
+    """eta_p^eta_exp * (-i)^i_exp * S_index on (C^p)^{tensor n}.
+
+    index has length 2n, blocks (x^(j), y^(j)). i_exp is only ever nonzero
+    for p = 2, where the alpha factors introduce quarter phases.
+    """
+
+    p: int
+    n: int
+    index: tuple
+    eta_exp: int = 0
+    i_exp: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", tuple(c % self.p for c in self.index))
+        object.__setattr__(self, "eta_exp", self.eta_exp % self.p)
+        object.__setattr__(self, "i_exp", self.i_exp % 4)
+        if len(self.index) != 2 * self.n:
+            raise ValueError(f"index must have {2 * self.n} components")
+
+    @property
+    def phase(self) -> complex:
+        return complex(unit_phases(self.p, self.eta_exp, self.i_exp))
+
+    def __matmul__(self, other: "PhasedOperator") -> "PhasedOperator":
+        if (self.p, self.n) != (other.p, other.n):
+            raise ValueError("dimension mismatch")
+        e = self.eta_exp + other.eta_exp
+        for b in range(self.n):
+            # per block: S_{j,k} S_{s,t} = eta^{ks} S_{j+s, k+t}
+            e += self.index[2 * b + 1] * other.index[2 * b]
+        idx = tuple(a + b for a, b in zip(self.index, other.index))
+        return PhasedOperator(self.p, self.n, idx, e, self.i_exp + other.i_exp)
+
+    def power(self, m: int) -> "PhasedOperator":
+        if m < 0:
+            raise ValueError("power must be non-negative")
+        e = m * self.eta_exp
+        for b in range(self.n):
+            # S_{j,k}^m = eta^{m(m-1)jk/2} S_{mj,mk}; the binomial is an integer
+            e += _binom2(m) * self.index[2 * b] * self.index[2 * b + 1]
+        idx = tuple(m * c for c in self.index)
+        return PhasedOperator(self.p, self.n, idx, e, m * self.i_exp)
+
+    def adjoint(self) -> "PhasedOperator":
+        e = -self.eta_exp
+        for b in range(self.n):
+            # S_{j,k}^dagger = eta^{jk} S_{-j,-k}
+            e += self.index[2 * b] * self.index[2 * b + 1]
+        idx = tuple(-c for c in self.index)
+        return PhasedOperator(self.p, self.n, idx, e, -self.i_exp)
+
+    def matrix(self) -> np.ndarray:
+        M = np.eye(1, dtype=complex)
+        for b in range(self.n):
+            M = np.kron(M, spin_matrix(self.p, self.index[2 * b], self.index[2 * b + 1]))
+        return self.phase * M
+
+
+def phased_spin(p: int, index: tuple, with_alpha: bool = False) -> PhasedOperator:
+    """Phase-free S_index, or the alpha-corrected version for p=2.
+
+    With ``with_alpha`` every qubit block equal to (1,1) contributes one power
+    of -i, so the resulting operator squares to the identity.
+    """
+    n = len(index) // 2
+    if len(index) != 2 * n:
+        raise ValueError("index must have even length")
+    i_exp = 0
+    if with_alpha and p == 2:
+        i_exp = sum(
+            1 for b in range(n) if (index[2 * b] % 2, index[2 * b + 1] % 2) == (1, 1)
+        )
+    return PhasedOperator(p, n, tuple(index), 0, i_exp)
+
+
+def spin_product(p: int, a: tuple, b: tuple) -> PhasedOperator:
+    """S_a S_b as an exact PhasedOperator; a, b in V_2(p) or V_{2n}(p)."""
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    return phased_spin(p, a) @ phased_spin(p, b)
+
+
+def spin_power(p: int, idx: tuple, m: int) -> PhasedOperator:
+    """S_idx^m as an exact PhasedOperator."""
+    return phased_spin(p, idx).power(m)
 
 
 def generating_vectors(field):

@@ -615,6 +615,20 @@ def test_cli_evolve_rejects_nan_hamiltonian(tmp_path, rng):
         build_char_generator(H, 3, 1)
 
 
+def test_cli_evolve_refuses_a_non_hermitian_hamiltonian_before_writing(tmp_path, capsys):
+    # an off-diagonal defect of 5e-10 fails the relative rule when the generator is built
+    H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    H[0, 1] += 5e-10
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(H))
+    out = tmp_path / "traj.jsonl"
+    rc = main(["evolve", "--p", "3", "--n", "1", "--input", state, "--hamiltonian", hfile,
+               "--out", str(out)])
+    assert rc == 2
+    assert "not Hermitian" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.glob("traj*"))
+
+
 @pytest.mark.parametrize("H", [{}, [[[0, 0], {}]], None])
 def test_cli_evolve_rejects_malformed_hamiltonian(tmp_path, capsys, H):
     state = write_json(tmp_path / "s.json", {"random": "density"})

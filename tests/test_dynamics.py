@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import SIGMA, random_hermitian
+from dense_oracle import spin_stack
 from mubwigner.dynamics import (
     GeneratorMatrix,
     UnsupportedDynamicsError,
@@ -13,13 +14,20 @@ from mubwigner.dynamics import (
     build_wigner_generator,
     char_dynamics_table,
     density_from_dynamics_char,
-    density_from_spin_coeffs,
     evolve,
     evolve_trajectory,
     spin_coeff_bridge,
 )
 from mubwigner.fields import prime_inverse
-from mubwigner.spins import SpinBasis, eta, index_code, spin_matrix, spin_projector
+from mubwigner.spins import (
+    SpinBasis,
+    all_index_vectors,
+    eta,
+    index_code,
+    spin_matrix,
+    spin_projector,
+    spin_recompose,
+)
 from mubwigner.wigner import (
     ConventionError,
     char_function,
@@ -299,8 +307,8 @@ def test_spin_coeff_bridge_qubit():
     my = 0.4
     rho = 0.5 * (np.eye(2) + my * SIGMA["y"])
     s = spin_coeff_bridge(char_dynamics_table(rho, 2, 1))
-    assert abs(s[(1, 1)] - (-1j * my)) < TOL
-    assert abs(s[(0, 0)] - 1) < TOL
+    assert abs(s[index_code(2, (1, 1))] - (-1j * my)) < TOL
+    assert abs(s[index_code(2, (0, 0))] - 1) < TOL
 
 
 def test_spin_coeff_bridge_round_trip(rng):
@@ -308,16 +316,27 @@ def test_spin_coeff_bridge_round_trip(rng):
         d = p**n
         rho = random_density(d, rng)
         s = spin_coeff_bridge(char_dynamics_table(rho, p, n))
-        assert np.abs(density_from_spin_coeffs(s, p, n) - rho).max() < TOL
+        assert np.abs(spin_recompose(s, p, n) - rho).max() < TOL
     # projector round trip
     P = spin_projector(3, (1, 1), 0)
     s = spin_coeff_bridge(char_dynamics_table(P, 3, 1))
-    assert np.abs(density_from_spin_coeffs(s, 3, 1) - P).max() < TOL
+    assert np.abs(spin_recompose(s, 3, 1) - P).max() < TOL
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
+def test_spin_coeff_bridge_matches_dense_traces(p, n, rng):
+    d = p**n
+    rho = random_density(d, rng)
+    s = spin_coeff_bridge(char_dynamics_table(rho, p, n))
+    assert s.shape == (d * d,)
+    # entry code(u) is tr(S_u^dagger rho), with S_u a Kronecker product of dense blocks
+    S = spin_stack(p, n, all_index_vectors(p, n))
+    assert np.abs(s - np.einsum("wji,ji->w", S.conj(), rho)).max() < 1e-12
 
 
 def test_spin_coeff_bridge_identity_state():
     s = spin_coeff_bridge(char_dynamics_table(np.eye(3) / 3, 3, 1))
-    for idx, val in s.items():
+    for idx, val in zip(map(tuple, all_index_vectors(3, 1).tolist()), s):
         want = 1.0 if idx == (0, 0) else 0.0
         assert abs(val - want) < TOL
 
@@ -399,11 +418,34 @@ def test_large_hamiltonian_scale_evolves(rng):
         assert np.abs(got - hilbert_evolution(H, rho, t)).max() < 1e-10 * np.abs(rho).max()
 
 
+def test_hermiticity_rule_is_applied_when_built(rng):
+    # one relative rule, max|H - H^dagger| <= 1e-10 max(1, max|H|), at build time
+    H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    H[0, 1] += 5e-10
+    for build in (build_char_generator, build_wigner_generator):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            build(H, 3, 1)
+    # an infinite entry makes the relative bound infinite, and is refused all the same
+    H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    H[0, 1] = np.inf
+    with pytest.raises(ValueError, match="not Hermitian and finite"):
+        build_char_generator(H, 3, 1)
+    # a large-scale H whose absolute defect, 1e-6, is inside the relative rule
+    big = 1e6 * random_hermitian(9, rng)
+    big[0, 1] += 1e-6
+    gen = build_char_generator(big, 3, 2)
+    rho = random_density(9, rng)
+    got = density_from_dynamics_char(evolve(char_dynamics_table(rho, 3, 2), gen, 1e-7))
+    assert np.abs(np.trace(got) - 1) < 1e-10
+    with pytest.raises(ValueError, match="expected a 9x9 Hamiltonian"):
+        build_char_generator(np.eye(3), 3, 2)
+
+
 def test_nan_generator_fails_hermiticity_check():
     L = np.eye(4, dtype=complex)
     L[1, 2] = np.nan
     with pytest.raises(ValueError, match="not Hermitian"):
-        GeneratorMatrix("char", 2, 1, L).eig()
+        GeneratorMatrix("char", 2, 2, L).eig()
 
 
 def test_generator_and_its_eigendecomposition_are_read_only(rng):

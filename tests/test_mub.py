@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import SIGMA
-from dense_oracle import class_generator_ops, commuting_class, mub_projector_matrix
+from dense_oracle import (
+    PhasedOperator,
+    class_generator_ops,
+    commuting_class,
+    mub_projector_matrix,
+    phased_spin,
+)
+from mubwigner import spins
 from mubwigner.geometry import phase_geometry
 from mubwigner.mub import class_members, class_vectors, full_mub, mub_projector, verify_mub
-from mubwigner.spins import PhasedOperator, _digits, index_code, phased_spin, spin_matrix
+from mubwigner.spins import _digits, index_code, spin_matrix
 
 # every (p, n) with d = p^n <= 27
 SMALL = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
@@ -241,10 +248,11 @@ def test_verify_mub_tolerance():
 def test_mub_paths_build_no_dense_operator(monkeypatch, tmp_path):
     from mubwigner.cli import main
 
-    def dense(self):
-        raise AssertionError("dense Kronecker operator built")
+    # spin_matrix is the one dense spin constructor left in the library
+    def dense(*args):
+        raise AssertionError("dense spin matrix built")
 
-    monkeypatch.setattr(PhasedOperator, "matrix", dense)
+    monkeypatch.setattr(spins, "spin_matrix", dense)
     assert verify_mub(full_mub(3, 2), 3, 2).passed
     state = tmp_path / "state.json"
     state.write_text('{"random": "density"}')

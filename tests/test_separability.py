@@ -167,7 +167,7 @@ def test_dynamics_kernel_closed_form_matches_generator_route():
     # powers with shifts +2^{-1} y_r^{(r)}(alpha) (and none on the vertical
     # class); the kernels must coincide operator by operator
     from mubwigner.fields import prime_inverse
-    from mubwigner.spins import PhasedOperator, phased_spin
+    from dense_oracle import PhasedOperator, phased_spin
 
     p, n = 3, 2
     k = wigner_kernel(p, n, "dynamics")

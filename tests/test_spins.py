@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import SIGMA
+from dense_oracle import phased_spin, spin_power, spin_product, spin_stack
 from mubwigner.spins import (
+    _MINUS_I_POWERS,
     _digits,
     all_index_vectors,
     alpha_factor,
@@ -15,14 +17,12 @@ from mubwigner.spins import (
     digit_dft,
     eta,
     index_code,
-    phased_spin,
     spin_decompose,
     spin_matrix,
-    spin_power,
-    spin_product,
     spin_projector,
     spin_recompose,
     tensor_spin,
+    unit_phases,
 )
 
 TOL = 1e-12
@@ -169,9 +169,14 @@ def test_tensor_spin():
     assert np.allclose(T @ T.conj().T, np.eye(9), atol=TOL)
 
 
+def _by_index(coeffs, p, n):
+    """(index vector, coefficient) pairs of a code-order coefficient array."""
+    return zip(map(tuple, all_index_vectors(p, n).tolist()), coeffs)
+
+
 def test_decompose_identity():
     coeffs = spin_decompose(np.eye(9, dtype=complex), 3, 2)
-    for idx, c in coeffs.items():
+    for idx, c in _by_index(coeffs, 3, 2):
         want = 9 if idx == (0, 0, 0, 0) else 0.0
         assert abs(c - want) < TOL
 
@@ -181,7 +186,7 @@ def test_decompose_single_spin():
     d = 5
     v = (2, 3)
     coeffs = spin_decompose(spin_matrix(d, *v), d, 1)
-    for idx, c in coeffs.items():
+    for idx, c in _by_index(coeffs, d, 1):
         want = d if idx == v else 0.0
         assert abs(c - want) < 1e-10
 
@@ -189,7 +194,7 @@ def test_decompose_single_spin():
 def test_decompose_qubit_bloch():
     rho = 0.5 * (SIGMA["I"] + 0.7 * SIGMA["z"])
     coeffs = spin_decompose(rho, 2, 1)
-    assert abs(coeffs[(1, 0)] - 0.7) < TOL
+    assert abs(coeffs[index_code(2, (1, 0))] - 0.7) < TOL
 
 
 @settings(deadline=None, max_examples=60)
@@ -202,6 +207,56 @@ def test_decompose_recompose_round_trip(data):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     back = spin_recompose(spin_decompose(A, p, n), p, n)
     assert np.abs(back - A).max() < 1e-12 * max(1.0, np.abs(A).max())
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2)])
+def test_coefficient_arrays_round_trip_in_code_order(p, n, rng):
+    d = p**n
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    coeffs = spin_decompose(A, p, n)
+    assert coeffs.shape == (d * d,) and coeffs.dtype == complex
+    # entry code(u) is tr(S_u^dagger A), with S_u a Kronecker product of dense blocks
+    S = spin_stack(p, n, all_index_vectors(p, n))
+    assert np.abs(coeffs - np.einsum("wji,ji->w", S.conj(), A)).max() < 1e-12 * d
+    assert np.abs(spin_recompose(coeffs, p, n) - A).max() < 1e-12 * max(1.0, np.abs(A).max())
+
+
+def test_spin_matrix_phases_come_from_unit_phases():
+    p, m = 251, np.arange(251)
+    for j, k in [(1, 0), (250, 3), (97, 250), (-5, -1)]:
+        S = spin_matrix(p, j, k)
+        # exp of each angle 2 pi jm / p, with jm reduced mod p first
+        want = np.exp(2j * np.pi / p * ((j * m) % p))
+        assert np.abs(S[m, (m + k) % p] - want).max() <= 1e-15
+        assert np.count_nonzero(S) == p
+    # qubit phases are exactly +-1
+    assert np.array_equal(spin_matrix(2, 1, 0), np.diag([1.0, -1.0]).astype(complex))
+    assert np.array_equal(spin_matrix(2, 1, 1), np.array([[0, 1], [-1, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("p", [3, 5, 251])
+def test_unit_phases_without_quarter_phases_is_unchanged(p, rng):
+    roots = np.exp(2j * np.pi / p * np.arange(p))
+
+    def product(e, i):  # the formula that always multiplies by (-i)^i_exp
+        return roots[np.asarray(e) % p] * _MINUS_I_POWERS[np.asarray(i) % 4]
+
+    e = rng.integers(-3 * p, 3 * p, size=(4, 6))
+    cases = [
+        (e, 0),                                  # no i_exp at all
+        (e, np.zeros((4, 6), dtype=int)),        # i_exp of zeros, same shape
+        (e[0], np.zeros((3, 1), dtype=int)),     # zeros that broadcast to (3, 6)
+        (e[:, :1], np.zeros(6, dtype=int)),      # both sides broadcast
+        (7, 0),                                  # scalars
+        (e, rng.integers(0, 4, size=(4, 6))),    # quarter phases present
+        (e[0], rng.integers(1, 4, size=(2, 1))),
+    ]
+    for eta_exp, i_exp in cases:
+        got, want = unit_phases(p, eta_exp, i_exp), product(eta_exp, i_exp)
+        assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        if np.ndim(got):
+            got[...] = 0  # writable, as the product is
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 2), (2, 3)])

@@ -28,8 +28,8 @@ from mubwigner.fields import is_prime, prime_inverse
 from mubwigner.geometry import phase_geometry
 from mubwigner.mub import class_vectors, mub_projector
 from mubwigner import wigner as wigner_mod
+from mubwigner import spins as spins_mod
 from mubwigner.spins import (
-    PhasedOperator,
     _characters,
     _digits,
     all_index_vectors,
@@ -361,10 +361,11 @@ def test_kernel_exponents_match_generator_route(p, n, conv):
 
 
 def test_kernel_and_geometry_build_no_phased_operator(monkeypatch):
-    def refuse(self):
-        raise AssertionError("PhasedOperator built")
+    # spin_matrix is the one dense spin constructor left in the library
+    def refuse(*args):
+        raise AssertionError("dense spin matrix built")
 
-    monkeypatch.setattr(PhasedOperator, "__post_init__", refuse)
+    monkeypatch.setattr(spins_mod, "spin_matrix", refuse)
     phase_geometry.cache_clear()
     wigner_kernel.cache_clear()
     for p, n in [(2, 2), (3, 2), (3, 3)]:
@@ -818,11 +819,27 @@ def test_positivity_check_finds_witness(rng):
     assert res.min_eigenvalue < -0.1
     # materialize the witness and confirm tr(rho B B^dagger) < 0
     B = np.zeros((p, p), dtype=complex)
-    for (j, k), c in res.witness.items():
+    for (j, k), c in zip(all_index_vectors(p, 1).tolist(), res.witness):
         B += c * spin_matrix(p, j, k)
     val = np.trace(rho @ B @ B.conj().T).real
     assert val < -0.1
     assert abs(val - res.min_eigenvalue) < TOL
+
+
+@pytest.mark.parametrize("p,n,alpha,s", [(2, 2, 3, (1, 0)), (3, 2, 4, (1, 2)), (2, 3, 5, (0, 1, 1))])
+def test_positivity_witness_is_a_code_order_array(p, n, alpha, s):
+    d = p**n
+    rho = 1.5 * np.eye(d) / d - 0.5 * mub_projector(phase_geometry(p, n), alpha, s).matrix
+    res = positivity_check(rho, p, n)
+    assert not res.positive
+    w = res.witness
+    assert w.shape == (d * d,) and not w.flags.writeable
+    # B = sum_w c_w S_w from dense Kronecker-product spin matrices
+    B = np.tensordot(w, spin_stack(p, n, all_index_vectors(p, n)), axes=(0, 0))
+    phi = res.eigenvector
+    assert np.abs(B - np.outer(phi, phi.conj())).max() < 1e-12
+    val = np.trace(rho @ B @ B.conj().T).real
+    assert val < 0 and abs(val - (1.5 / d - 0.5)) < TOL
 
 
 def test_positivity_witness_is_built_when_read(monkeypatch, rng):
@@ -836,8 +853,8 @@ def test_positivity_witness_is_built_when_read(monkeypatch, rng):
     assert not res.positive and calls == []
     # the eager formula: spin coefficients of |phi><phi| over p^n
     phi = np.linalg.eigh(rho)[1][:, 0]
-    want = {idx: c / p**n for idx, c in decompose(np.outer(phi, phi.conj()), p, n).items()}
-    assert res.witness == want
+    want = decompose(np.outer(phi, phi.conj()), p, n) / p**n
+    assert np.array_equal(res.witness, want)
     assert res.witness is res.witness and len(calls) == 1
     pos = positivity_check(random_density(p**n, rng), p, n)
     assert pos.positive and pos.witness is None and len(calls) == 1
@@ -861,8 +878,8 @@ def test_positivity_check_takes_eigenvalues_only(monkeypatch):
     # the witness is the one of the eager eigh route
     phi = eigh(rho)[1][:, 0]
     decompose = wigner_mod.spin_decompose
-    want = {idx: c / p**n for idx, c in decompose(np.outer(phi, phi.conj()), p, n).items()}
-    assert res.witness == want
+    want = decompose(np.outer(phi, phi.conj()), p, n) / p**n
+    assert np.array_equal(res.witness, want)
     # the checked matrix is held as a read-only copy, not the caller's array
     rho[0, 0] = 7.0
     assert res.rho[0, 0] != 7.0 and not res.rho.flags.writeable
