@@ -73,6 +73,7 @@ from .wigner import (
     wigner_maximally_entangled,
     wigner_partial_transpose,
 )
+from .checks import check_state
 from .dynamics import (
     GeneratorMatrix,
     UnsupportedDynamicsError,

@@ -14,40 +14,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    UnsupportedDynamicsError,
-    _trajectory,
-    build_char_generator,
-    char_dynamics_table,
-)
+from .dynamics import _trajectory, build_char_generator, char_dynamics_table
 from .fields import FieldError, is_prime
 from .serialize import (
     load_matrix,
     load_state,
-    matrix_to_json,
     trajectory_record,
     wigner_csv_lines,
     wigner_pgm_lines,
     wigner_table_to_json,
     write_mub_json,
 )
-from .mub import class_vectors, full_mub, verify_mub
-from .wigner import (
-    ConventionError,
-    check_complete_factorization,
-    class_marginals,
-    default_convention,
-    plancherel_inner,
-    positivity_check,
-    random_density,
-    reconstruct_density,
-    wigner_function,
-    wigner_kernel,
-    wigner_partial_transpose,
-)
+from .checks import CHECKS, check_state
+from .mub import full_mub, verify_mub
+from .wigner import default_convention, wigner_function
 
 MATRIX_DIM_LIMIT = 2**10
-KNOWN_CHECKS = ("marginals", "plancherel", "separability", "positivity", "pt")
 
 
 def _common_flags(sp: argparse.ArgumentParser) -> None:
@@ -86,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         type=str,
         default="marginals,plancherel,positivity",
-        help="comma list from " + ",".join(KNOWN_CHECKS) + "; separability (n=2) tests the "
+        help="comma list from " + ",".join(CHECKS) + "; separability (n=2) tests the "
              "factorisation law on tr_B rho (x) tr_A rho only: a Bell state passes it, not pt",
     )
 
@@ -130,6 +112,8 @@ def _wigner_formats(spec, n: int) -> list[str]:
     if spec is None:
         return ["json", "csv"] if n <= 2 else ["json"]
     formats = [f.strip() for f in spec.split(",") if f.strip()]
+    if not formats:
+        raise ValueError("no output format requested; choose from json,csv,pgm")
     unknown = set(formats) - {"json", "csv", "pgm"}
     if unknown:
         raise ValueError(f"unknown format(s): {sorted(unknown)}")
@@ -156,96 +140,29 @@ def cmd_wigner(args) -> int:
     base = Path(args.out)
     base.parent.mkdir(parents=True, exist_ok=True)
     stem = str(base).removesuffix(base.suffix) if base.suffix else str(base)
+    tol = max(args.tol, 1e-8)
     if "json" in formats:
-        with open(stem + ".json", "w") as fh:
-            # json.dumps runs the C encoder; json.dump streams through the
-            # pure-Python one
-            fh.write(json.dumps(wigner_table_to_json(wt, max(args.tol, 1e-8))))
-    if "csv" in formats:
-        Path(stem + ".csv").write_text("\n".join(wigner_csv_lines(wt, max(args.tol, 1e-8))) + "\n")
-    if "pgm" in formats:
-        Path(stem + ".pgm").write_text("\n".join(wigner_pgm_lines(wt, max(args.tol, 1e-8))) + "\n")
+        # json.dumps runs the C encoder; json.dump streams through the pure-Python one
+        Path(stem + ".json").write_text(json.dumps(wigner_table_to_json(wt, tol)))
+    for fmt, lines in (("csv", wigner_csv_lines), ("pgm", wigner_pgm_lines)):
+        if fmt in formats:
+            Path(f"{stem}.{fmt}").write_text("\n".join(lines(wt, tol)) + "\n")
     print(f"wrote Wigner table ({conv}) for d={args.p}^{args.n} to {stem}.*")
     return 0
-
-
-def _check_state(args, rho, conv) -> dict:
-    p, n, tol = args.p, args.n, args.tol
-    results: dict = {}
-    requested = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for c in requested:
-        if c not in KNOWN_CHECKS:
-            raise ValueError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
-    if "separability" in requested and n != 2:
-        raise ValueError("the separability check needs n=2")
-    if "pt" in requested:
-        if n != 2:
-            raise ValueError("the pt check needs n=2")
-        if conv not in ("separable", "p2-left", "p2-right"):
-            raise ValueError("pt check needs a separability convention")
-    wt = wigner_function(rho, p, n, conv)
-    kern = wigner_kernel(p, n, conv)
-    # deviations are reduced with np.max, which keeps a NaN (Python max may
-    # drop it), and a NaN deviation fails the `dev < tol` verdict
-    if "marginals" in requested:
-        devs = []
-        for alpha in range(kern.geom.num_classes):
-            V = class_vectors(kern.geom, alpha)
-            probs = ((V.conj() @ rho) * V).sum(axis=1).real  # <psi_s|rho|psi_s>
-            devs.append(class_marginals(wt, alpha) - probs)
-        dev = float(np.max(np.abs(devs)))
-        results["marginals"] = {"max_deviation": dev, "passed": dev < tol}
-    if "plancherel" in requested:
-        sigma = random_density(p**n, np.random.default_rng(args.seed + 1))
-        ws = wigner_function(sigma, p, n, conv)
-        dev = float(np.max(np.abs([
-            plancherel_inner(wt, wt) - float(np.trace(rho @ rho).real),
-            plancherel_inner(wt, ws) - float(np.trace(rho @ sigma).real),
-        ])))
-        results["plancherel"] = {"max_deviation": dev, "passed": dev < tol}
-    if "separability" in requested:
-        tau = np.trace(rho.reshape(p, p, p, p), axis1=1, axis2=3)
-        mu = np.trace(rho.reshape(p, p, p, p), axis1=0, axis2=2)
-        rep = check_complete_factorization([tau, mu], p)
-        results["separability"] = {
-            "max_deviation": rep.max_deviation,
-            "transpose_on": rep.transpose_on,
-            "passed": rep.max_deviation < tol,
-        }
-    if "positivity" in requested:
-        res = positivity_check(rho, p, n, tol)
-        results["positivity"] = {
-            "min_eigenvalue": res.min_eigenvalue,
-            "passed": res.positive,
-        }
-    if "pt" in requested:
-        wpt = wigner_partial_transpose(wt)
-        lam = float(np.linalg.eigvalsh(reconstruct_density(wpt))[0])
-        results["pt"] = {"min_eigenvalue": lam, "passed": lam >= -tol}
-    return results
 
 
 def cmd_check(args) -> int:
     _validate_pn(args.p, args.n)
     rho = load_state(args.input, args.p, args.n, args.seed)
-    conv = args.convention or default_convention(args.p, args.n)
-    results = _check_state(args, rho, conv)
-    passed = all(r["passed"] for r in results.values())
-    report = {
-        "p": args.p,
-        "n": args.n,
-        "convention": conv,
-        "tol": args.tol,
-        "checks": results,
-        "passed": passed,
-    }
+    names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    report = check_state(rho, args.p, args.n, args.convention, names, args.tol, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
-    for name, r in results.items():
+    for name, r in report["checks"].items():
         print(f"{name}: {'pass' if r['passed'] else 'FAIL'} {r}")
-    return 0 if passed else 1
+    return 0 if report["passed"] else 1
 
 
 def cmd_evolve(args) -> int:
@@ -297,17 +214,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    commands = {"mub": cmd_mub, "wigner": cmd_wigner, "check": cmd_check, "evolve": cmd_evolve}
     try:
-        if args.command == "mub":
-            return cmd_mub(args)
-        if args.command == "wigner":
-            return cmd_wigner(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "evolve":
-            return cmd_evolve(args)
-        raise ValueError(f"unknown command {args.command!r}")
-    except (FieldError, ConventionError, UnsupportedDynamicsError, ValueError, OSError) as exc:
+        return commands[args.command](args)
+    except (ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

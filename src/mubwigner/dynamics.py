@@ -54,9 +54,9 @@ class UnsupportedDynamicsError(ValueError):
 class GeneratorMatrix:
     """A Hamiltonian with its cached eigendecomposition, the last evolved
     table's density in that eigenbasis and, built on first read, the N x N
-    generator L of its table flow; all are read-only. H is checked when it
-    is built: d x d, finite, and Hermitian relative to its scale,
-    max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
+    generator L of its table flow; all are read-only. The kind, a prime p
+    and H are checked when it is built: H is d x d, finite, and Hermitian
+    relative to its scale, max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
 
     kind: str  # "char" | "wigner"
     p: int
@@ -67,6 +67,10 @@ class GeneratorMatrix:
     _matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.kind not in ("char", "wigner"):
+            raise ValueError(f"generator kind must be 'char' or 'wigner', got {self.kind!r}")
+        if not is_prime(self.p):
+            raise FieldError(f"{self.p} is not prime")
         H = frozen(np.array(self.hamiltonian, dtype=complex))
         d = self.p**self.n
         if H.shape != (d, d):
@@ -92,11 +96,6 @@ class GeneratorMatrix:
             L = build(self.hamiltonian, self.p, self.n)
             object.__setattr__(self, "_matrix", frozen(L))
         return self._matrix
-
-
-def _check_supported(p: int) -> None:
-    if not is_prime(p):
-        raise FieldError(f"{p} is not prime")
 
 
 def _structure_phases(kernel) -> np.ndarray:
@@ -141,13 +140,11 @@ def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     """Hermitian L with dchi_rho(w)/dt = -i sum_u L(w,u) chi_rho(u) for the von
     Neumann flow, built only when .matrix is read; evolve() applies exp(-iLt)
     so that tables follow rho(t) = e^{-iHt} rho e^{+iHt} exactly."""
-    _check_supported(p)
     return GeneratorMatrix("char", p, n, H)
 
 
 def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     """Wigner-space mate of the characteristic generator; odd p only."""
-    _check_supported(p)
     if p == 2:
         raise UnsupportedDynamicsError(
             "no Wigner-space generator exists for p=2; evolve the "

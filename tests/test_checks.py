@@ -1,0 +1,90 @@
+import json
+
+import numpy as np
+import pytest
+
+from mubwigner.checks import CHECKS, check_state
+from mubwigner.cli import main
+from mubwigner.serialize import load_state, matrix_to_json
+from mubwigner.wigner import max_entangled_density, random_density
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("p,n,conv,names", [
+    (3, 1, None, ["marginals", "plancherel", "positivity"]),
+    (2, 2, "p2-right", list(CHECKS)),
+    (3, 2, None, list(CHECKS)),
+    (3, 2, "plain", ["separability", "positivity"]),
+    (2, 3, None, ["marginals", "plancherel"]),
+])
+def test_check_state_returns_the_report_the_cli_writes(tmp_path, p, n, conv, names):
+    state = write_json(tmp_path / "s.json", {"random": "density"})
+    out = tmp_path / "rep.json"
+    argv = ["check", "--p", str(p), "--n", str(n), "--input", state, "--seed", "4",
+            "--checks", ",".join(names), "--out", str(out)]
+    if conv:
+        argv += ["--convention", conv]
+    report = check_state(load_state(state, p, n, 4), p, n, conv, names, 1e-10, 4)
+    assert main(argv) == (0 if report["passed"] else 1)
+    assert out.read_text() == json.dumps(report, indent=2)
+    assert list(report) == ["p", "n", "convention", "tol", "checks", "passed"]
+    # results follow the table's order, whatever the order asked for
+    assert list(report["checks"]) == [c for c in CHECKS if c in names]
+
+
+def test_check_state_takes_names_in_any_order_and_a_list_input():
+    rho = max_entangled_density(3)
+    report = check_state(rho.tolist(), 3, 2, checks=("pt", "marginals", "pt"))
+    assert report["convention"] == "separable"
+    assert list(report["checks"]) == ["marginals", "pt"]
+    assert report["checks"]["marginals"]["passed"] and not report["passed"]
+    assert report["checks"]["pt"]["min_eigenvalue"] == pytest.approx(-1 / 3)
+
+
+@pytest.mark.parametrize("names", [(), []])
+def test_check_state_rejects_an_empty_check_list(names):
+    with pytest.raises(ValueError, match="no checks requested"):
+        check_state(np.eye(3) / 3, 3, 1, checks=names)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_check_state_rejects_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        check_state(np.eye(3) / 3, 3, 1, tol=tol)
+
+
+def test_pt_refuses_a_non_hermitian_matrix(tmp_path, capsys):
+    # eigvalsh reads one triangle, so without the Hermiticity rule of
+    # positivity_check a non-Hermitian input would get a verdict
+    g = np.random.default_rng(5)
+    M = g.normal(size=(9, 9)) + 1j * g.normal(size=(9, 9))
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_state(M, 3, 2, checks=["pt"])
+    state = write_json(tmp_path / "m.json", matrix_to_json(M))
+    out = tmp_path / "rep.json"
+    rc = main(["check", "--p", "3", "--n", "2", "--input", state, "--checks", "pt",
+               "--out", str(out)])
+    assert rc == 2
+    assert "Hermitian" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pt_eigenvalue_is_eigvalsh_of_the_transposed_density(rng):
+    # positivity_check copies the matrix and calls eigvalsh on it: the same bits
+    from mubwigner.wigner import reconstruct_density, wigner_function, wigner_partial_transpose
+
+    for p, conv in ((3, "separable"), (5, "separable"), (2, "p2-left"), (2, "p2-right")):
+        rho = random_density(p * p, rng)
+        got = check_state(rho, p, 2, conv, ["pt"], 1e-10)["checks"]["pt"]
+        dense = reconstruct_density(wigner_partial_transpose(wigner_function(rho, p, 2, conv)))
+        lam = float(np.linalg.eigvalsh(dense)[0])
+        assert got == {"min_eigenvalue": lam, "passed": lam >= -1e-10}
+
+
+def test_checks_help_lists_the_table(capsys):
+    assert main(["check", "--help"]) == 0
+    assert ",".join(CHECKS) in capsys.readouterr().out

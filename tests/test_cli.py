@@ -425,11 +425,11 @@ def test_cli_check_entangled_pt_fails(tmp_path):
 
 
 def test_cli_check_pt_builds_the_table_once(tmp_path, monkeypatch, capsys):
-    from mubwigner import cli
+    from mubwigner import checks
 
     calls = []
-    build = cli.wigner_function
-    monkeypatch.setattr(cli, "wigner_function", lambda *a: calls.append(a) or build(*a))
+    build = checks.wigner_function
+    monkeypatch.setattr(checks, "wigner_function", lambda *a: calls.append(a) or build(*a))
     state = write_json(tmp_path / "ent.json", matrix_to_json(max_entangled_density(3)))
     rc = main(
         ["check", "--p", "3", "--n", "2", "--input", state,
@@ -588,7 +588,7 @@ def test_cli_wigner_rejects_nan_input(tmp_path, rng):
 
 
 def test_cli_check_rejects_nan_input(tmp_path, rng):
-    from mubwigner.cli import _check_state, build_parser
+    from mubwigner.checks import check_state
 
     state = _nan_state(tmp_path, 3, rng)
     out = str(tmp_path / "rep.json")
@@ -597,7 +597,7 @@ def test_cli_check_rejects_nan_input(tmp_path, rng):
     # a NaN that reaches the marginals check makes it fail, not pass
     rho = random_density(3, rng)
     rho[0, 1] = np.nan
-    res = _check_state(build_parser().parse_args(argv), rho, "plain")["marginals"]
+    res = check_state(rho, 3, 1, "plain", ["marginals"])["checks"]["marginals"]
     assert np.isnan(res["max_deviation"]) and not res["passed"]
 
 
@@ -688,7 +688,8 @@ def test_cli_wigner_default_formats_follow_n(tmp_path):
 
 
 @pytest.mark.parametrize("n,fmt,why", [(3, "csv", "csv export"), (3, "json,csv", "csv export"),
-                                       (2, "json,pgm", "pgm export"), (1, "json,png", "unknown format")])
+                                       (2, "json,pgm", "pgm export"), (1, "json,png", "unknown format"),
+                                       (1, ",", "no output format")])
 def test_cli_wigner_rejects_formats_before_any_work(tmp_path, monkeypatch, capsys, n, fmt, why):
     from mubwigner import cli
 
@@ -710,15 +711,17 @@ def test_cli_wigner_rejects_formats_before_any_work(tmp_path, monkeypatch, capsy
     (3, None, "separability", "separability check needs n=2"),
     (1, None, "positivity,pt", "pt check needs n=2"),
     (2, "plain", "marginals,pt", "separability convention"),
+    (1, None, "", "no checks requested"),
+    (1, None, ",", "no checks requested"),
 ])
 def test_cli_check_validates_before_any_work(tmp_path, monkeypatch, capsys, n, conv, checks, why):
-    from mubwigner import cli
+    from mubwigner import checks as checks_module
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the checks were validated")
 
-    monkeypatch.setattr(cli, "wigner_function", refuse)
-    monkeypatch.setattr(cli, "class_vectors", refuse)
+    monkeypatch.setattr(checks_module, "wigner_function", refuse)
+    monkeypatch.setattr(checks_module, "class_vectors", refuse)
     state = write_json(tmp_path / "s.json", {"random": "density"})
     out = tmp_path / "rep.json"
     argv = ["check", "--p", "3", "--n", str(n), "--input", state, "--checks", checks,

@@ -18,7 +18,7 @@ from mubwigner.dynamics import (
     evolve_trajectory,
     spin_coeff_bridge,
 )
-from mubwigner.fields import prime_inverse
+from mubwigner.fields import FieldError, prime_inverse
 from mubwigner.spins import (
     SpinBasis,
     all_index_vectors,
@@ -446,6 +446,15 @@ def test_nan_generator_fails_hermiticity_check():
     L[1, 2] = np.nan
     with pytest.raises(ValueError, match="not Hermitian"):
         GeneratorMatrix("char", 2, 2, L).eig()
+
+
+def test_generator_matrix_refuses_unknown_kind_and_composite_p():
+    with pytest.raises(ValueError, match="kind must be 'char' or 'wigner'"):
+        GeneratorMatrix("bogus", 3, 1, np.eye(3))
+    with pytest.raises(FieldError, match="4 is not prime"):
+        GeneratorMatrix("char", 4, 1, np.eye(4))
+    with pytest.raises(FieldError, match="4 is not prime"):
+        build_wigner_generator(np.eye(4), 4, 1)
 
 
 def test_generator_and_its_eigendecomposition_are_read_only(rng):
