@@ -12,8 +12,8 @@ import numpy as np
 
 from .mub import class_vectors
 from .wigner import (
-    check_complete_factorization, class_marginals, default_convention, plancherel_inner,
-    positivity_check, random_density, reconstruct_density, wigner_function,
+    HERMITIAN_TOL, check_complete_factorization, class_marginals, default_convention,
+    plancherel_inner, positivity_check, random_density, reconstruct_density, wigner_function,
     wigner_partial_transpose,
 )
 
@@ -86,6 +86,14 @@ def check_state(rho: np.ndarray, p: int, n: int, convention: str | None = None,
             raise ValueError("pt check needs a separability convention")
     if not 0 < tol < float("inf"):  # NaN fails both comparisons
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if rho.shape != (p**n, p**n):
+        raise ValueError(f"expected a {p**n}x{p**n} matrix, got {rho.shape}")
+    if "positivity" in checks or "pt" in checks:
+        # positivity_check's rule, on the input rather than on its partial transpose
+        dev = np.abs(rho - rho.conj().T).max()
+        if not dev <= HERMITIAN_TOL:  # a NaN defect fails too
+            raise ValueError(f"the input matrix is not finite and Hermitian (defect {dev}); "
+                             "the positivity and pt checks need a density matrix")
     wt = wigner_function(rho, p, n, conv)
     results = {name: run(rho, wt, tol, seed) for name, run in CHECKS.items() if name in checks}
     return {"p": p, "n": n, "convention": conv, "tol": tol, "checks": results,

@@ -9,23 +9,27 @@ That flow is unitary covariance, exp(-iLt) chi_rho = chi_{U rho U^dagger}
 with U = e^{-iHt}, so evolve() never forms L. It takes rho, the table's
 read-only density, into the eigenbasis of the d x d Hamiltonian
 H = Q diag(lambda) Q^dagger (eigh paid once and cached, O(d^3)) once per
-(table, generator), and each time point costs one spin-trace transform of
-rho(t), O(d^3), where an eigendecomposition of L would cost O(N^3) = O(d^6),
-N = p^{2n}. Evolved tables carry rho(t) as their density.
-GeneratorMatrix.matrix still builds the N x N L, the paper's explicit
-object, on first read; the tests use exp(-iLt) as the oracle for evolve().
-For odd primes the same dynamics transfers to Wigner tables through the
-symplectic transform, with generator
+(table, generator), as R = Q^dagger rho Q. Each time point then costs one
+exp of the d phases e^{-i lambda t}, two d x d products,
+rho(t) = B R B^dagger with B = Q e^{-i lambda t}, and one spin-trace
+transform of rho(t): O(d^3) in all, where an eigendecomposition of L would
+cost O(N^3) = O(d^6), N = p^{2n}. Evolved tables carry rho(t) as their
+density. GeneratorMatrix.matrix still builds the N x N L, the paper's
+explicit object, on first read; the tests use exp(-iLt) as the oracle for
+evolve(). For odd primes the same dynamics transfers to Wigner tables
+through the symplectic transform, with generator
 
     Lw(v,y) = (1/p^n) [ eta^{2 v o y} chi_H(2(y-v)) - eta^{2 y o v} chi_H(2(v-y)) ].
 
-There is no useful Wigner-space generator at p=2 (the quarter phases do not
-survive the transform), so only characteristic-space dynamics is offered
-there.
+At p=2 the factors 2 vanish mod 2 and the quarter phases do not survive
+the transform, so Lw has no p=2 form and the .matrix of a Wigner generator
+refuses p=2. Evolution needs no L, so a p=2 Wigner generator still evolves
+dynamics-convention Wigner tables, by the same unitary route as at odd p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,9 +58,10 @@ class UnsupportedDynamicsError(ValueError):
 class GeneratorMatrix:
     """A Hamiltonian with its cached eigendecomposition, the last evolved
     table's density in that eigenbasis and, built on first read, the N x N
-    generator L of its table flow; all are read-only. The kind, a prime p
-    and H are checked when it is built: H is d x d, finite, and Hermitian
-    relative to its scale, max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
+    generator L of its table flow (none for a Wigner generator at p=2); all
+    are read-only. The kind, a prime p and H are checked when it is built: H
+    is d x d, finite, and Hermitian relative to its scale,
+    max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
 
     kind: str  # "char" | "wigner"
     p: int
@@ -92,6 +97,10 @@ class GeneratorMatrix:
     def matrix(self) -> np.ndarray:
         """L with dchi/dt = -i L chi, N x N with N = p^{2n}: O(N^2) memory."""
         if self._matrix is None:
+            if self.kind == "wigner" and self.p == 2:
+                raise UnsupportedDynamicsError(
+                    "no Wigner-space generator matrix exists for p=2; evolve() needs none"
+                )
             build = _char_matrix if self.kind == "char" else _wigner_matrix
             L = build(self.hamiltonian, self.p, self.n)
             object.__setattr__(self, "_matrix", frozen(L))
@@ -144,12 +153,9 @@ def build_char_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
 
 
 def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
-    """Wigner-space mate of the characteristic generator; odd p only."""
-    if p == 2:
-        raise UnsupportedDynamicsError(
-            "no Wigner-space generator exists for p=2; evolve the "
-            "characteristic table instead"
-        )
+    """Wigner-space mate of the characteristic generator: evolve() takes
+    dynamics-convention Wigner tables at every prime; .matrix, the N x N Lw,
+    exists for odd p only."""
     return GeneratorMatrix("wigner", p, n, H)
 
 
@@ -170,7 +176,7 @@ def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
     if (state.p, state.n) != (gen.p, gen.n):
         raise ValueError("state and generator shapes differ")
     for t in times:
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
     lam, Q = gen.eig()
     memo = gen._rotated
@@ -178,8 +184,8 @@ def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
         memo = (state, frozen(Q.conj().T @ state.density @ Q))
         object.__setattr__(gen, "_rotated", memo)
     for t in times:
-        ph = np.exp(-1j * lam * t)
-        rho_t = Q @ (ph[:, None] * memo[1] * ph.conj()) @ Q.conj().T
+        B = Q * np.exp((-1j * t) * lam)  # Q e^{-i lambda t}, so rho(t) = B R B^dagger
+        rho_t = B.dot(memo[1]).dot(B.conj().T)
         values = state.kernel.char_values(rho_t)
         if isinstance(state, WignerTable):
             values = state.kernel.symplectic_ft(values)

@@ -165,6 +165,14 @@ class PhaseGeometry:
         raises ValueError unless each has 2n integer-valued entries."""
         return self._integer_vectors(w, 2 * self.n, "an index vector", ndim)
 
+    @functools.cached_property
+    def outcome_dots(self) -> np.ndarray:
+        """s.b mod p for every pair of vectors (s, b) of V_n(p) in code order,
+        (p^n, p^n) int64; read-only, built on first read and shared by every
+        class (numpy runs this integer product without BLAS)."""
+        b = _digits(self.p, self.n)
+        return frozen((b @ b.T) % self.p)
+
     def generators(self, alpha: int) -> np.ndarray:
         """g_0(alpha)..g_{n-1}(alpha), shape (n, 2n); rejects bad labels."""
         self.check_label(alpha)

@@ -73,11 +73,10 @@ def class_vectors(geom: PhaseGeometry, alpha: int) -> np.ndarray:
     if not gy.any():  # the clock class: psi_s = e_{-s}
         return np.eye(d, dtype=complex)[code_map(p, -np.eye(n))]
     w, e, i_exp = class_members(geom, alpha)
-    b = _digits(p, n)  # b and s alike
     V = np.empty((d, d), dtype=complex)
     # only b = 0 has y_b = 0, so P_alpha(s)[0, 0] = 1/d and psi_s = sqrt(d) P_alpha(s)[:, 0]
     V[:, code_map(p, -gy.T)] = unit_phases(
-        p, b @ b.T + e - (w[:, 0::2] * w[:, 1::2]).sum(axis=1), i_exp
+        p, geom.outcome_dots + e - (w[:, 0::2] * w[:, 1::2]).sum(axis=1), i_exp
     ) / np.sqrt(d)
     return V
 

@@ -181,8 +181,9 @@ class SpinBasis:
 
     S_w for w = (x, y) blockwise is monomial, S_w[m, m+y] = eta^{x.m}, so
     tr(A S_w) = sum_m A[m+y, m] eta^{x.m}: a gather along the cyclic
-    diagonals of A into the (m, y) slots of V_{2n}(p), then a digit DFT of
-    sign +1 over the m axes, which turns each m into x in place.
+    diagonals of A into an (m digits, y digits) grid, then n passes that each
+    turn the leading m digit into x by one product with the p x p character
+    table and move it to the back; one permutation puts the (y, x) grid in code order.
     """
 
     def __init__(self, p: int, n: int):
@@ -191,29 +192,37 @@ class SpinBasis:
         self.p = p
         self.n = n
         self.dim = p**n
-        # _diag[code(m, y)] = flat position of entry (m + y, m) of a d x d matrix, code(m + y, m)
-        M = np.vstack([np.eye(n, dtype=int).repeat(2, axis=1), np.eye(2 * n, dtype=int)[0::2]])
-        self._diag = frozen(code_map(p, M))
-        # sum_m eta^{x.m} over the m axes, the even axes of a code-order table
-        self._shape, self._signs = (p,) * (2 * n), (1, 0) * n
+        # _gather[code(m), code(y)] = flat position of entry (m + y, m) of a d x d matrix
+        M = np.kron([[1, 1], [1, 0]], np.eye(n, dtype=int))  # rows m + y, then m
+        self._gather = frozen(code_map(p, M).reshape(self.dim, -1))
+        # _xy: the x axes, then the y axes, of a code order table; _to_code[code(w)] = the
+        # slot of w = (x, y) in the (y digits, x digits) grid that the passes leave
+        xy = self._xy = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+        self._to_code = frozen(code_map(p, np.eye(2 * n, dtype=int)[[*xy[n:], *xy[:n]]]))
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
         """All index vectors, (p^{2n}, 2n) in code order; read-only, built on first read."""
         return frozen(all_index_vectors(self.p, self.n))
 
+    def _passes(self, a: np.ndarray) -> np.ndarray:
+        """Take each of the n leading digits m to x by sum_m eta^{x m}, moving it to the back."""
+        for _ in range(self.n):  # ndarray.dot: less dispatch than @ on these small products
+            a = a.reshape(self.p, -1).T.dot(_characters(self.p, 1))
+        return a
+
     def traces(self, A: np.ndarray) -> np.ndarray:
         """tr(A S_w) for every index vector w, in code order."""
-        a = np.asarray(A, dtype=complex).ravel()[self._diag]
-        return digit_dft(a.reshape(self._shape), self.p, self._signs).ravel()
+        a = np.asarray(A, dtype=complex).ravel()[self._gather]
+        return self._passes(a).ravel()[self._to_code]
 
     def combine(self, c: np.ndarray) -> np.ndarray:
         """sum_w c_w S_w for coefficients c in code order, the inverse
         scatter of traces: entry (m, m+y) is sum_x c_{x,y} eta^{x.m}."""
-        d = self.dim
-        M = np.zeros(d * d, dtype=complex)
-        M[self._diag] = digit_dft(np.reshape(c, self._shape), self.p, self._signs).ravel()
-        return M.reshape(d, d).T
+        c = np.asarray(c, dtype=complex).reshape((self.p,) * (2 * self.n)).transpose(self._xy)
+        M = np.zeros(self.dim**2, dtype=complex)
+        M[self._gather.T] = self._passes(c).reshape(self.dim, -1)  # the (y, m) grid
+        return M.reshape(self.dim, -1).T
 
 
 def spin_decompose(A: np.ndarray, p: int, n: int) -> np.ndarray:

@@ -59,6 +59,7 @@ from .spins import spin_decompose, unit_phases
 
 CONVENTIONS = ("plain", "separable", "p2-left", "p2-right", "dynamics")
 ZERO_TOL = 1e-10
+HERMITIAN_TOL = 1e-8  # max|rho - rho^dagger| that positivity_check accepts
 
 
 class ConventionError(ValueError):
@@ -537,7 +538,7 @@ def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> 
     negative, the witness B is the projector onto its eigenvector, reported in
     spin-matrix coefficients. Both are computed when first read."""
     rho = frozen(np.array(rho, dtype=complex))
-    if not np.abs(rho - rho.conj().T).max() <= 1e-8:  # a NaN defect fails too
+    if not np.abs(rho - rho.conj().T).max() <= HERMITIAN_TOL:  # a NaN defect fails too
         raise ValueError("positivity check expects a finite Hermitian matrix")
     lam = float(np.linalg.eigvalsh(rho)[0])
     return PositivityResult(lam >= -tol, lam, p, n, rho)

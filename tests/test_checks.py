@@ -73,6 +73,23 @@ def test_pt_refuses_a_non_hermitian_matrix(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", [["pt"], ["positivity"], ["marginals", "pt"]])
+def test_positivity_checks_refuse_a_bad_input_by_name(tmp_path, capsys, names):
+    # the refusal names the input matrix, not a check that was not asked for
+    g = np.random.default_rng(5)
+    bad = [g.normal(size=(9, 9)) + 1j * g.normal(size=(9, 9)), np.eye(9) / 9]
+    bad[1][0, 0] = np.nan
+    for M in bad:
+        with pytest.raises(ValueError, match="^the input matrix is not finite and Hermitian"):
+            check_state(M, 3, 2, checks=names)
+    state = write_json(tmp_path / "m.json", matrix_to_json(bad[0]))
+    rc = main(["check", "--p", "3", "--n", "2", "--input", state, "--checks", ",".join(names),
+               "--out", str(tmp_path / "rep.json")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "the input matrix is not finite and Hermitian" in err
+    assert "positivity check" not in err
+
+
 def test_pt_eigenvalue_is_eigvalsh_of_the_transposed_density(rng):
     # positivity_check copies the matrix and calls eigvalsh on it: the same bits
     from mubwigner.wigner import reconstruct_density, wigner_function, wigner_partial_transpose

@@ -35,6 +35,7 @@ from mubwigner.wigner import (
     random_density,
     reconstruct_density,
     wigner_from_char,
+    wigner_function,
     wigner_kernel,
 )
 
@@ -348,16 +349,29 @@ def test_bridge_requires_dynamics_convention(rng):
 
 
 def test_unsupported_combinations(rng):
-    # n >= 3 builds and evolves; only the Wigner route at p=2 and a
+    # n >= 3 builds and evolves; only the Wigner-space L at p=2 and a
     # non-Hermitian H are refused
     H, rho = random_hermitian(8, rng), random_density(8, rng)
     gen = build_char_generator(H, 2, 3)
     got = density_from_dynamics_char(evolve(char_dynamics_table(rho, 2, 3), gen, 0.4))
     assert np.abs(got - direct_evolution(H, rho, 0.4)).max() < EVOLVE_TOL
-    with pytest.raises(UnsupportedDynamicsError):
-        build_wigner_generator(np.eye(2), 2, 1)
+    with pytest.raises(UnsupportedDynamicsError, match="p=2"):
+        build_wigner_generator(np.eye(2), 2, 1).matrix
     with pytest.raises(ValueError):
         build_char_generator(np.diag([1.0, 2.0]) + 1j * np.eye(2), 2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_qubit_wigner_tables_evolve_without_a_generator_matrix(n, rng):
+    # at p=2 the Wigner route needs no Lw: the evolved table is the table of U rho U^dagger
+    d = 2**n
+    H, rho = random_hermitian(d, rng), random_density(d, rng)
+    gen = build_wigner_generator(H, 2, n)
+    W0 = wigner_function(rho, 2, n, "dynamics")
+    for t in (0.0, 0.7, -1.9):
+        want = wigner_function(direct_evolution(H, rho, t), 2, n, "dynamics").values
+        assert np.abs(evolve(W0, gen, t).values - want).max() < 1e-14
+    assert gen._matrix is None
 
 
 def test_evolve_kind_and_convention_guards(rng):

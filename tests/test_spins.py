@@ -10,6 +10,7 @@ from conftest import SIGMA
 from dense_oracle import phased_spin, spin_power, spin_product, spin_stack
 from mubwigner.spins import (
     _MINUS_I_POWERS,
+    SpinBasis,
     _digits,
     all_index_vectors,
     alpha_factor,
@@ -387,3 +388,19 @@ def test_digit_dft_property(data):
 def test_digit_dft_needs_one_sign_per_axis():
     with pytest.raises(ValueError, match="signs"):
         digit_dft(np.zeros((3, 3)), 3, (1,))
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (2, 8)])
+def test_transforms_beyond_the_dense_oracle(p, n, rng):
+    # d = 243 and 256: tr(A S_w) = sum_m A[m+y, m] eta^{x.m} from digits, at 64 seeded w
+    d = p**n
+    basis = SpinBasis(p, n)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    got = basis.traces(A)
+    m = _digits(p, n)
+    for code in rng.choice(d * d, size=64, replace=False):
+        w = np.array(np.unravel_index(code, (p,) * (2 * n)))
+        x, y = w[0::2], w[1::2]
+        want = (A[index_code(p, m + y), index_code(p, m)] * unit_phases(p, m @ x)).sum()
+        assert abs(got[code] - want) < 1e-12
+    assert np.abs(spin_recompose(spin_decompose(A, p, n), p, n) - A).max() < 1e-12

@@ -389,10 +389,10 @@ def _assert_read_only(a):
 @pytest.mark.parametrize("p,n,conv", [(3, 1, "plain"), (2, 2, "p2-left"), (3, 2, "separable")])
 def test_cached_arrays_are_read_only(p, n, conv):
     k = wigner_kernel(p, n, conv)
-    for a in (k.basis.vectors, k.basis._diag, k.phases, k.eta_exp, k.i_exp, k.shifts,
-              k.geom.gens, k.geom._class_of, k.geom._b_code, k._neg_perm,
-              k.geom.codes, k.a_stack(), a_operator(p, n, (0,) * (2 * n), conv),
-              _characters(p, 1), _characters(p, -1)):
+    for a in (k.basis.vectors, k.basis._gather, k.basis._to_code, k.phases, k.eta_exp, k.i_exp,
+              k.shifts, k.geom.gens, k.geom._class_of, k.geom._b_code, k._neg_perm,
+              k.geom.codes, k.geom.outcome_dots, k.a_stack(),
+              a_operator(p, n, (0,) * (2 * n), conv), _characters(p, 1), _characters(p, -1)):
         _assert_read_only(a)
     wt = wigner_function(np.eye(p**n) / p**n, p, n, conv)
     for a in (wt._marginals, class_marginals(wt, 0)):
@@ -1095,7 +1095,10 @@ def test_index_tables_match_stack_formulas(p, n, conv):
     k = wigner_kernel(p, n, conv)
     vecs = all_index_vectors(p, n)
     x, y = vecs[:, 0::2], vecs[:, 1::2]
-    tables = [(k.basis._diag, index_code(p, x + y) * p**n + index_code(p, x)),
+    # _gather in (m, y) block order: the (x, y) stack read as (m, y) is the (x..., y...) grid
+    xy = np.argsort(index_code(p, np.hstack([x, y])))
+    tables = [(k.basis._gather.ravel(), (index_code(p, x + y) * p**n + index_code(p, x))[xy]),
+              (k.basis._to_code, index_code(p, np.hstack([y, x]))),
               (k._neg_perm, index_code(p, -vecs))]
     if n == 2 and p % 2:
         pt = vecs.copy()
