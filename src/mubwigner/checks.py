@@ -13,8 +13,8 @@ import numpy as np
 from .mub import class_vectors
 from .wigner import (
     HERMITIAN_TOL, check_complete_factorization, class_marginals, default_convention,
-    plancherel_inner, positivity_check, random_density, reconstruct_density, wigner_function,
-    wigner_partial_transpose,
+    hermitian_defect, plancherel_inner, positivity_check, random_density, reconstruct_density,
+    wigner_function, wigner_partial_transpose,
 )
 
 
@@ -90,7 +90,7 @@ def check_state(rho: np.ndarray, p: int, n: int, convention: str | None = None,
         raise ValueError(f"expected a {p**n}x{p**n} matrix, got {rho.shape}")
     if "positivity" in checks or "pt" in checks:
         # positivity_check's rule, on the input rather than on its partial transpose
-        dev = np.abs(rho - rho.conj().T).max()
+        dev = hermitian_defect(rho)
         if not dev <= HERMITIAN_TOL:  # a NaN defect fails too
             raise ValueError(f"the input matrix is not finite and Hermitian (defect {dev}); "
                              "the positivity and pt checks need a density matrix")

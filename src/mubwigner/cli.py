@@ -27,7 +27,7 @@ from .serialize import (
 )
 from .checks import CHECKS, check_state
 from .mub import full_mub, verify_mub
-from .wigner import default_convention, wigner_function
+from .wigner import default_convention, hermitian_defect, wigner_function
 
 MATRIX_DIM_LIMIT = 2**10
 
@@ -128,7 +128,7 @@ def cmd_wigner(args) -> int:
     _validate_pn(args.p, args.n)
     formats = _wigner_formats(args.format, args.n)
     rho = load_state(args.input, args.p, args.n, args.seed)
-    hermitian = np.abs(rho - rho.conj().T).max() <= args.tol
+    hermitian = hermitian_defect(rho) <= args.tol
     conv = args.convention or default_convention(args.p, args.n)
     wt = wigner_function(rho, args.p, args.n, conv)
     if not hermitian:

@@ -29,6 +29,7 @@ dynamics-convention Wigner tables, by the same unitary route as at odd p.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -44,6 +45,7 @@ from .wigner import (
     _with_density,
     char_function,
     density_from_char,
+    hermitian_defect,
     wigner_kernel,
 )
 
@@ -56,20 +58,18 @@ class UnsupportedDynamicsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """A Hamiltonian with its cached eigendecomposition, the last evolved
-    table's density in that eigenbasis and, built on first read, the N x N
-    generator L of its table flow (none for a Wigner generator at p=2); all
-    are read-only. The kind, a prime p and H are checked when it is built: H
-    is d x d, finite, and Hermitian relative to its scale,
-    max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
+    """A Hamiltonian with, each built on first read, its eigendecomposition
+    and the N x N generator L of its table flow (none for a Wigner generator
+    at p=2); all are read-only. The last evolved table's density in the
+    eigenbasis is kept in _rotated. The kind, a prime p and H are checked
+    when it is built: H is d x d, finite, and Hermitian relative to its
+    scale, max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
 
     kind: str  # "char" | "wigner"
     p: int
     n: int
     hamiltonian: np.ndarray
-    _eig: Optional[tuple] = field(default=None, init=False, repr=False)
     _rotated: Optional[tuple] = field(default=None, init=False, repr=False)
-    _matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("char", "wigner"):
@@ -80,31 +80,30 @@ class GeneratorMatrix:
         d = self.p**self.n
         if H.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} Hamiltonian, got {H.shape}")
-        dev, scale = np.abs(H - H.conj().T).max(), np.abs(H).max()
+        dev, scale = hermitian_defect(H), np.abs(H).max()
         # an infinite entry would make the bound infinite; a NaN fails both comparisons
         if not (scale < np.inf and dev <= HERMITICITY_TOL * max(1.0, scale)):
             raise ValueError(f"Hamiltonian is not Hermitian and finite (defect {dev})")
         object.__setattr__(self, "hamiltonian", H)
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lambda, Q) with H = Q diag(lambda) Q^dagger."""
-        if self._eig is None:
-            lam, Q = np.linalg.eigh(self.hamiltonian)
-            object.__setattr__(self, "_eig", (frozen(lam), frozen(Q)))
-        return self._eig
+        """(lambda, Q) with H = Q diag(lambda) Q^dagger, computed on the first call."""
+        return self._eigh
 
-    @property
+    @functools.cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        lam, Q = np.linalg.eigh(self.hamiltonian)
+        return frozen(lam), frozen(Q)
+
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
         """L with dchi/dt = -i L chi, N x N with N = p^{2n}: O(N^2) memory."""
-        if self._matrix is None:
-            if self.kind == "wigner" and self.p == 2:
-                raise UnsupportedDynamicsError(
-                    "no Wigner-space generator matrix exists for p=2; evolve() needs none"
-                )
-            build = _char_matrix if self.kind == "char" else _wigner_matrix
-            L = build(self.hamiltonian, self.p, self.n)
-            object.__setattr__(self, "_matrix", frozen(L))
-        return self._matrix
+        if self.kind == "wigner" and self.p == 2:
+            raise UnsupportedDynamicsError(
+                "no Wigner-space generator matrix exists for p=2; evolve() needs none"
+            )
+        build = _char_matrix if self.kind == "char" else _wigner_matrix
+        return frozen(build(self.hamiltonian, self.p, self.n))
 
 
 def _structure_phases(kernel) -> np.ndarray:

@@ -125,14 +125,10 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 def default_poly(p: int, n: int) -> tuple[int, ...]:
     """Deterministic defining polynomial for GF(p^n), as (c_0, ..., c_{n-1}).
 
-    Conventions: n=1 uses x; (2,2) uses x^2+x+1; odd p with n=2 uses x^2 - D
-    for D the smallest quadratic non-residue; otherwise the first irreducible
-    monic polynomial in the ordering by sum c_k p^k.
+    Odd p with n=2 uses x^2 - D for D the smallest quadratic non-residue;
+    otherwise the first irreducible monic polynomial in the ordering by
+    sum c_k p^k, which is x for n=1 and x^2+x+1 for (2,2).
     """
-    if n == 1:
-        return (0,)
-    if p == 2 and n == 2:
-        return (1, 1)
     if p % 2 == 1 and n == 2:
         return ((-smallest_nonresidue(p)) % p, 0)
     for code in range(p**n):

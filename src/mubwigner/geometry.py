@@ -13,7 +13,9 @@ linear, and so are the generators g_r(alpha) = M(lambda^r (1, alpha)) in the
 digits of alpha: the x half is lambda^r, that is e_r, and the y half is
 y_j = tr(lambda^{j+r} alpha) = sum_k a_k T[j+r+k], a product with the Hankel
 tensor of the Newton power sums T[k] = tr(lambda^k). All p^n + 1 classes are
-one integer product; no field element is multiplied.
+one integer product; no field element is multiplied. Each class's subspace is
+held as the codes of its p^n points, and the index equation w = sum_r b_r
+g_r(alpha) is solved by searching those codes.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ def phase_geometry(p: int, n: int, poly: tuple | None = None) -> "PhaseGeometry"
 
 
 class PhaseGeometry:
-    """Precomputed index tables for one field: the generators of every class,
-    and the index equation w = sum b_r g_r(alpha) solved for every w at once,
-    as integer arrays of point codes, class labels and coefficient codes."""
+    """Precomputed index tables for one field, as integer arrays: the
+    generators of every class, and the point codes of every class's
+    subspace, codes[alpha, b] = code(sum_r b_r g_r(alpha)). The index
+    equation w = sum_r b_r g_r(alpha) is solved by a search of codes."""
 
     def __init__(self, field: GaloisField):
         self.field = field
@@ -92,7 +95,6 @@ class PhaseGeometry:
         # gens[alpha, r] = g_r(alpha), shape (p^n + 1, n, 2n)
         self.gens = frozen(self._hankel_generators())
         self.codes = frozen(self._class_codes())
-        self._class_of, self._b_code = self._solve_index_equation()
 
     def _hankel_generators(self) -> np.ndarray:
         """Below p^n, gx = I_n and gy[alpha, r, j] = sum_k a_k T[j+r+k] with a
@@ -121,20 +123,11 @@ class PhaseGeometry:
         codes[:d] = b @ weight[0::2]
         for j in range(n):  # y_j[alpha, b] = sum_r b_r gens[alpha, r, y_j]
             codes += (self.gens[:, :, 2 * j + 1] @ b.T) % p * weight[2 * j + 1]
-        return codes
-
-    def _solve_index_equation(self) -> tuple[np.ndarray, np.ndarray]:
-        """Class label and b-code of every point, in code order; the origin
-        maps to (0, 0). Checks that the classes tile V_{2n}(p)."""
-        counts = np.bincount(self.codes.ravel(), minlength=self.dim**2)
-        if counts[0] != self.num_classes or not (counts[1:] == 1).all():
+        # the classes tile V_{2n}(p): each point once, the origin once per class
+        counts = np.bincount(codes.ravel(), minlength=d * d)
+        if counts[0] != d + 1 or not (counts[1:] == 1).all():
             raise AssertionError("subspaces overlap away from the origin")
-        class_of = np.zeros(self.dim**2, dtype=np.int64)
-        b_code = np.zeros(self.dim**2, dtype=np.int64)
-        class_of[self.codes] = np.arange(self.num_classes)[:, None]
-        b_code[self.codes] = np.arange(self.dim)
-        class_of[0] = b_code[0] = 0
-        return frozen(class_of), frozen(b_code)
+        return codes
 
     def check_label(self, alpha: int) -> None:
         """Raise ValueError unless alpha is an integer class label 0..p^n."""
@@ -179,10 +172,11 @@ class PhaseGeometry:
         return self.gens[alpha]
 
     def decompose(self, w: Sequence[int]) -> tuple[int, tuple]:
-        """Solve w = sum_r b_r g_r(alpha) for (alpha, b); w=0 maps to b=0."""
+        """Solve w = sum_r b_r g_r(alpha) for (alpha, b), a search of codes;
+        w=0 maps to (0, 0), its first entry."""
         code = index_code(self.p, self.index_vectors(w))
-        b = np.unravel_index(self._b_code[code], (self.p,) * self.n)
-        return int(self._class_of[code]), tuple(int(c) for c in b)
+        alpha, b = divmod(int(np.argmax(self.codes == code)), self.dim)
+        return alpha, tuple(int(c) for c in np.unravel_index(b, (self.p,) * self.n))
 
     def subspace_points(self, alpha: int) -> dict[tuple, tuple]:
         """b-tuple -> point of the alpha subspace (coefficients recoverable)."""

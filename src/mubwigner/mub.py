@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import is_prime, FieldError
 from .geometry import PhaseGeometry, _span, phase_geometry
 from .spins import _digits, code_map, frozen, index_code, unit_phases
 
@@ -88,13 +87,10 @@ def mub_projector(geom: PhaseGeometry, alpha: int, s: tuple) -> MubProjector:
     return MubProjector(alpha, s, frozen(class_vectors(geom, alpha)[index_code(geom.p, s)]))
 
 
-def full_mub(p: int, n: int = 1, geom: PhaseGeometry | None = None) -> list[list[MubProjector]]:
+def full_mub(p: int, n: int = 1) -> list[list[MubProjector]]:
     """The p^n + 1 bases, each as its p^n rank-1 projectors."""
-    if geom is None:
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
-        geom = phase_geometry(p, n)
-    outcomes = [tuple(s) for s in _digits(geom.p, geom.n).tolist()]
+    geom = phase_geometry(p, n)
+    outcomes = [tuple(s) for s in _digits(p, n).tolist()]
     bases = []
     for alpha in range(geom.num_classes):
         vecs = frozen(class_vectors(geom, alpha))

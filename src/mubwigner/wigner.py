@@ -34,13 +34,14 @@ for and kept, in the big-endian outcome order of class_vectors; the shift
 phases eta^{-r(alpha).b} are a kernel constant. class_marginals reads that
 array; marginal_along reads frozen rows of Python floats (None where the
 entry is not real), built from it once per table, so each lookup is one tuple
-index. Tables are immutable and checked where they enter (p^{2n} values, a
-convention valid at (p, n)): each holds read-only copies of its values,
-density and marginals; equality and hashing go by identity. The kernel's
-gathers, code(-w) and the odd-p partial transpose x_1 -> -1 - x_1, are digit
-maps (spins.code_map), built without the (N, 2n) vectors, which are made only
-when read. The A operators, in every convention, are translates of A(0),
-built on request.
+index. Characteristic and Wigner tables share one immutable base, which checks
+what enters (p^{2n} values, a convention valid at (p, n)), holds a read-only
+copy of the values and compares and hashes by identity. Every derived array,
+a table's density and marginals as well as the kernel's gathers code(-w) and
+the odd-p partial transpose x_1 -> -1 - x_1, is a cached property, built
+read-only on first read. The gathers are digit maps (spins.code_map), built
+without the (N, 2n) vectors, which are made only when read. The A operators,
+in every convention, are translates of A(0), built on request.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ class WignerKernel:
         self.shifts = self._shift_table()
         self.eta_exp, self.i_exp = map(frozen, self._exponents())
         self.phases = frozen(unit_phases(p, self.eta_exp, self.i_exp))
-        self._neg_perm = frozen(code_map(p, -np.eye(2 * n, dtype=np.int64)))  # code(-w)
         self._swap = tuple(i ^ 1 for i in range(2 * n))  # x <-> y in each block
 
     @property
@@ -213,6 +213,11 @@ class WignerKernel:
         return frozen(unit_phases(self.p, -self.shifts @ _digits(self.p, self.n).T))
 
     @functools.cached_property
+    def _neg_perm(self) -> np.ndarray:
+        """code(-w) at code(w), a gather read only by spin_coeff_bridge, read-only."""
+        return frozen(code_map(self.p, -np.eye(2 * self.n, dtype=np.int64)))
+
+    @functools.cached_property
     def _pt_perm(self) -> np.ndarray:
         """Code of (x0, y0, p-1-x1, y1) at code(x0, y0, x1, y1), n = 2 only:
         the odd-p partial transpose as a gather, read-only."""
@@ -232,14 +237,6 @@ class WignerKernel:
 # ---------------------------------------------------------------------------
 
 
-def _read_only_copy(table) -> None:
-    _validate_convention(table.p, table.n, table.convention)
-    values, N = frozen(np.array(table.values)), table.p ** (2 * table.n)
-    if values.shape != (N,):
-        raise ValueError(f"a ({table.p}, {table.n}) table has {N} values, got {values.shape}")
-    object.__setattr__(table, "values", values)
-
-
 def _with_density(table, rho: np.ndarray):
     """`table` with rho, the density of its values, cached read-only."""
     table.__dict__["density"] = frozen(rho)
@@ -247,17 +244,22 @@ def _with_density(table, rho: np.ndarray):
 
 
 @dataclass(frozen=True, eq=False)
-class CharTable:
-    """chi(w) = tr[rho G(w)] on V_{2n}(p), in index-code order; holds a
-    read-only copy of the p^{2n} values it is given (checked, as is the
-    convention), and its density once asked for; equal only to itself."""
+class _Table:
+    """p^{2n} values on V_{2n}(p) in index-code order, in one convention;
+    holds a read-only copy of the values it is given (checked, as is the
+    convention), and its kernel once asked for; equal only to itself."""
 
     p: int
     n: int
     convention: str
     values: np.ndarray
 
-    __post_init__ = _read_only_copy
+    def __post_init__(self):
+        _validate_convention(self.p, self.n, self.convention)
+        values, N = frozen(np.array(self.values)), self.p ** (2 * self.n)
+        if values.shape != (N,):
+            raise ValueError(f"a ({self.p}, {self.n}) table has {N} values, got {values.shape}")
+        object.__setattr__(self, "values", values)
 
     def value(self, w: Sequence[int]) -> complex:
         return complex(self.values[self.kernel.code(w)])
@@ -265,6 +267,11 @@ class CharTable:
     @functools.cached_property
     def kernel(self) -> WignerKernel:
         return wigner_kernel(self.p, self.n, self.convention)
+
+
+@dataclass(frozen=True, eq=False)  # frozen itself: a plain subclass takes new attributes
+class CharTable(_Table):
+    """chi(w) = tr[rho G(w)] on V_{2n}(p); its density once asked for."""
 
     @functools.cached_property
     def density(self) -> np.ndarray:
@@ -275,24 +282,9 @@ class CharTable:
 
 
 @dataclass(frozen=True, eq=False)
-class WignerTable:
-    """W(v) on V_{2n}(p) in index-code order; real for Hermitian inputs.
-    Holds a read-only copy of the p^{2n} values it is given (checked, as is
-    the convention), its density and marginals once asked for; equal only to itself."""
-
-    p: int
-    n: int
-    convention: str
-    values: np.ndarray
-
-    __post_init__ = _read_only_copy
-
-    def value(self, v: Sequence[int]) -> complex:
-        return complex(self.values[self.kernel.code(v)])
-
-    @functools.cached_property
-    def kernel(self) -> WignerKernel:
-        return wigner_kernel(self.p, self.n, self.convention)
+class WignerTable(_Table):
+    """W(v) on V_{2n}(p), real for Hermitian inputs; its density and
+    marginals once asked for."""
 
     @functools.cached_property
     def density(self) -> np.ndarray:
@@ -531,6 +523,11 @@ class PositivityResult:
         return frozen(spin_decompose(np.outer(phi, phi.conj()), self.p, self.n) / self.p**self.n)
 
 
+def hermitian_defect(M: np.ndarray) -> float:
+    """max|M - M^dagger|; NaN when M has a NaN entry, so `defect <= tol` fails."""
+    return float(np.abs(M - M.conj().T).max())
+
+
 def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> PositivityResult:
     """Peres-style positivity: rho >= 0 iff tr(rho B B^dagger) >= 0 for all B.
 
@@ -538,7 +535,7 @@ def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> 
     negative, the witness B is the projector onto its eigenvector, reported in
     spin-matrix coefficients. Both are computed when first read."""
     rho = frozen(np.array(rho, dtype=complex))
-    if not np.abs(rho - rho.conj().T).max() <= HERMITIAN_TOL:  # a NaN defect fails too
+    if not hermitian_defect(rho) <= HERMITIAN_TOL:  # a NaN defect fails too
         raise ValueError("positivity check expects a finite Hermitian matrix")
     lam = float(np.linalg.eigvalsh(rho)[0])
     return PositivityResult(lam >= -tol, lam, p, n, rho)

@@ -342,6 +342,16 @@ def test_spin_coeff_bridge_identity_state():
         assert abs(val - want) < TOL
 
 
+def test_neg_perm_is_built_only_by_the_bridge(rng):
+    wigner_kernel.cache_clear()
+    chi = char_dynamics_table(random_density(9, rng), 3, 2)
+    k = chi.kernel
+    wigner_from_char(chi).density
+    assert "_neg_perm" not in vars(k)
+    spin_coeff_bridge(chi)
+    assert "_neg_perm" in vars(k)
+
+
 def test_bridge_requires_dynamics_convention(rng):
     chi = char_function(random_density(3, rng), 3, 1, "plain")
     with pytest.raises(ConventionError):
@@ -371,7 +381,7 @@ def test_qubit_wigner_tables_evolve_without_a_generator_matrix(n, rng):
     for t in (0.0, 0.7, -1.9):
         want = wigner_function(direct_evolution(H, rho, t), 2, n, "dynamics").values
         assert np.abs(evolve(W0, gen, t).values - want).max() < 1e-14
-    assert gen._matrix is None
+    assert "matrix" not in vars(gen)
 
 
 def test_evolve_kind_and_convention_guards(rng):
@@ -503,7 +513,7 @@ def test_evolve_allocates_no_n_by_n_array():
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        assert gen._matrix is None
+        assert "matrix" not in vars(gen)
 
 
 @pytest.mark.parametrize("p,n", ORACLE_CASES)

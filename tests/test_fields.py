@@ -88,6 +88,16 @@ def test_default_polynomials():
     assert is_irreducible(default_poly(3, 3), 3)
 
 
+# n=1 and (2,2) take the search's first irreducible polynomial, x and x^2+x+1;
+# odd p with n=2 takes x^2 - D, which at p=5 is x^2 - 2 where the search gives x^2 + 2
+@pytest.mark.parametrize("p,n,poly", [
+    (2, 1, (0,)), (3, 1, (0,)), (59, 1, (0,)), (2, 2, (1, 1)),
+    (3, 2, (1, 0)), (5, 2, (3, 0)), (7, 2, (4, 0)), (59, 2, (57, 0)),
+])
+def test_default_poly_pins_the_low_degree_cases(p, n, poly):
+    assert default_poly(p, n) == poly
+
+
 def test_irreducibility_check():
     assert is_irreducible((1, 1), 2)  # x^2+x+1
     assert not is_irreducible((1, 0), 2)  # x^2+1 = (x+1)^2 mod 2

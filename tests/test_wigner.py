@@ -390,7 +390,7 @@ def _assert_read_only(a):
 def test_cached_arrays_are_read_only(p, n, conv):
     k = wigner_kernel(p, n, conv)
     for a in (k.basis.vectors, k.basis._gather, k.basis._to_code, k.phases, k.eta_exp, k.i_exp,
-              k.shifts, k.geom.gens, k.geom._class_of, k.geom._b_code, k._neg_perm,
+              k.shifts, k.geom.gens, k._neg_perm,
               k.geom.codes, k.geom.outcome_dots, k.a_stack(),
               a_operator(p, n, (0,) * (2 * n), conv), _characters(p, 1), _characters(p, -1)):
         _assert_read_only(a)
@@ -556,6 +556,17 @@ def test_tables_compare_and_hash_by_identity(cls):
         assert (a != b) is True
     assert a == a
     assert {a: "a"}[a] == "a"
+
+
+def test_char_and_wigner_tables_are_distinct_types():
+    # evolution and the table tests dispatch on isinstance, so neither kind is the other
+    chi, wt = CharTable(3, 1, "plain", np.zeros(9)), WignerTable(3, 1, "plain", np.zeros(9))
+    assert not isinstance(chi, WignerTable) and not isinstance(wt, CharTable)
+    assert chi.density.shape == wt.density.shape == (3, 3)
+    assert not hasattr(chi, "real_values") and not hasattr(chi, "_marginals")
+    for table in (chi, wt):  # each subclass is frozen in its own right
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.note = 1
 
 
 def test_built_tables_are_read_only(rng):
