@@ -60,7 +60,6 @@ from .wigner import (
     density_from_char,
     marginal_along,
     max_entangled_density,
-    partial_transpose_matrix,
     plancherel_inner,
     positivity_check,
     random_density,
@@ -82,7 +81,6 @@ from .dynamics import (
     char_dynamics_table,
     density_from_dynamics_char,
     evolve,
-    evolve_trajectory,
     spin_coeff_bridge,
 )
 

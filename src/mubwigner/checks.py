@@ -12,9 +12,9 @@ import numpy as np
 
 from .mub import class_vectors
 from .wigner import (
-    HERMITIAN_TOL, check_complete_factorization, class_marginals, default_convention,
-    hermitian_defect, plancherel_inner, positivity_check, random_density, reconstruct_density,
-    wigner_function, wigner_partial_transpose,
+    HERMITIAN_TOL, ConventionError, check_complete_factorization, class_marginals,
+    default_convention, has_shift_table, hermitian_defect, plancherel_inner, positivity_check,
+    random_density, reconstruct_density, wigner_function, wigner_partial_transpose,
 )
 
 
@@ -77,6 +77,9 @@ def check_state(rho: np.ndarray, p: int, n: int, convention: str | None = None,
     for c in checks:
         if c not in CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(CHECKS)}")
+    if "marginals" in checks and not has_shift_table(p, n, conv):
+        raise ConventionError(f"the marginals check needs generator-route shifts, and the "
+                              f"{conv} kernel at p={p}, n={n} has none")
     if "separability" in checks and n != 2:
         raise ValueError("the separability check needs n=2")
     if "pt" in checks:

@@ -10,11 +10,11 @@ with U = e^{-iHt}, so evolve() never forms L. It takes rho, the table's
 read-only density, into the eigenbasis of the d x d Hamiltonian
 H = Q diag(lambda) Q^dagger (eigh paid once and cached, O(d^3)) once per
 (table, generator), as R = Q^dagger rho Q. Each time point then costs one
-exp of the d phases e^{-i lambda t}, two d x d products,
-rho(t) = B R B^dagger with B = Q e^{-i lambda t}, and one spin-trace
-transform of rho(t): O(d^3) in all, where an eigendecomposition of L would
-cost O(N^3) = O(d^6), N = p^{2n}. Evolved tables carry rho(t) as their
-density. GeneratorMatrix.matrix still builds the N x N L, the paper's
+exp of the d phases and two d x d products, rho(t) = B R B^dagger with
+B = Q e^{-i lambda t}: O(d^3), where an eigendecomposition of L would cost
+O(N^3) = O(d^6), N = p^{2n}. An evolved table holds rho(t) as its density
+and pays the spin-trace transform (and symplectic FT) on its first values
+read. GeneratorMatrix.matrix still builds the N x N L, the paper's
 explicit object, on first read; the tests use exp(-iLt) as the oracle for
 evolve(). For odd primes the same dynamics transfers to Wigner tables
 through the symplectic transform, with generator
@@ -42,7 +42,6 @@ from .wigner import (
     CharTable,
     ConventionError,
     WignerTable,
-    _with_density,
     char_function,
     density_from_char,
     hermitian_defect,
@@ -160,8 +159,8 @@ def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
 
 def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
     """Yield (t, table at t, rho(t)) for each t in times; each table holds
-    rho(t) as its density. Q^dagger rho Q for the density of `state` is kept
-    on the generator for the last table it was taken for, held by identity."""
+    rho(t) as its density and builds its values on first read. Q^dagger rho Q
+    is kept on the generator for the last state it was taken for."""
     if isinstance(state, CharTable):
         if gen.kind != "char":
             raise ValueError("characteristic tables evolve under a char-space generator")
@@ -185,21 +184,13 @@ def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
     for t in times:
         B = Q * np.exp((-1j * t) * lam)  # Q e^{-i lambda t}, so rho(t) = B R B^dagger
         rho_t = B.dot(memo[1]).dot(B.conj().T)
-        values = state.kernel.char_values(rho_t)
-        if isinstance(state, WignerTable):
-            values = state.kernel.symplectic_ft(values)
-        table = type(state)(state.p, state.n, state.convention, values)
-        yield t, _with_density(table, rho_t), rho_t
+        yield t, type(state)._from_density(state.p, state.n, state.convention, rho_t), rho_t
 
 
 def evolve(state, gen: GeneratorMatrix, t: float):
     """Propagate a dynamics-convention table to time t: exp(-iLt) applied as
-    the table of U rho U^dagger, U = e^{-iHt}."""
+    the table of U rho U^dagger, U = e^{-iHt}, built from that density."""
     return next(_trajectory(state, gen, [t]))[1]
-
-
-def evolve_trajectory(state, gen: GeneratorMatrix, times: Sequence[float]) -> list:
-    return [table for _, table, _ in _trajectory(state, gen, times)]
 
 
 def char_dynamics_table(rho: np.ndarray, p: int, n: int) -> CharTable:

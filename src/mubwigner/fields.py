@@ -45,7 +45,7 @@ def prime_inverse(a: int, p: int) -> int:
 
 
 def is_quadratic_nonresidue(d: int, p: int) -> bool:
-    """True iff x^2 = d mod p has no solution, by exhaustive check.
+    """True iff x^2 = d mod p has no solution: d^{(p-1)/2} = -1 (Euler).
 
     Only defined for odd primes: every element of Z_2 is a square.
     """
@@ -56,8 +56,7 @@ def is_quadratic_nonresidue(d: int, p: int) -> bool:
     d %= p
     if d == 0:
         raise FieldError("0 is neither a residue nor a non-residue")
-    squares = {(x * x) % p for x in range(1, p)}
-    return d not in squares
+    return pow(d, (p - 1) // 2, p) == p - 1
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -302,17 +301,6 @@ class GaloisField:
         if a.field != self:
             raise FieldError("field mismatch")
         return sum(c * self.trace_power(k) for k, c in enumerate(a.coeffs)) % self.p
-
-    def frobenius_trace(self, a: FieldElement) -> int:
-        """Independent definition: sum of conjugates a^(p^r); used for checks."""
-        acc = self.zero
-        b = a
-        for _ in range(self.n):
-            acc = acc + b
-            b = b**self.p
-        if any(c != 0 for c in acc.coeffs[1:]):
-            raise FieldError("trace did not land in the prime field")
-        return acc.coeffs[0]
 
     def dual_basis(self) -> tuple[FieldElement, ...]:
         """Basis g_0..g_{n-1} with tr(lambda^j g_k) = delta(j,k).

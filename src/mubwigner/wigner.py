@@ -36,11 +36,12 @@ array; marginal_along reads frozen rows of Python floats (None where the
 entry is not real), built from it once per table, so each lookup is one tuple
 index. Characteristic and Wigner tables share one immutable base, which checks
 what enters (p^{2n} values, a convention valid at (p, n)), holds a read-only
-copy of the values and compares and hashes by identity. Every derived array,
-a table's density and marginals as well as the kernel's gathers code(-w) and
-the odd-p partial transpose x_1 -> -1 - x_1, is a cached property, built
-read-only on first read. The gathers are digit maps (spins.code_map), built
-without the (N, 2n) vectors, which are made only when read. The A operators,
+copy of the values (an evolved table holds its density instead) and compares
+and hashes by identity. Every derived array, a table's density, marginals or
+evolved values as well as the kernel's gathers code(-w) and the odd-p
+partial transpose x_1 -> -1 - x_1, is a cached property, built read-only on
+first read. The gathers are digit maps (spins.code_map), built without the
+(N, 2n) vectors, which are made only when read. The A operators,
 in every convention, are translates of A(0), built on request.
 """
 
@@ -86,6 +87,11 @@ def _validate_convention(p: int, n: int, convention: str) -> None:
         raise ConventionError(f"{convention} is only defined for p=2, n=2")
 
 
+def has_shift_table(p: int, n: int, convention: str) -> bool:
+    """False only for the p=2 dynamics kernel at n >= 2, no generator product."""
+    return not (convention == "dynamics" and p == 2 and n >= 2)
+
+
 @functools.lru_cache(maxsize=32)
 def wigner_kernel(p: int, n: int, convention: str) -> "WignerKernel":
     return WignerKernel(p, n, convention)
@@ -118,9 +124,11 @@ class WignerKernel:
     # -- construction ---------------------------------------------------------
 
     def _shift_table(self) -> Optional[np.ndarray]:
-        """shifts[alpha, r] = r_r(alpha), shape (p^n + 1, n)."""
-        p, n, d = self.p, self.n, self.dim
-        conv = self.convention
+        """shifts[alpha, r] = r_r(alpha), shape (p^n + 1, n); None where
+        has_shift_table says there is none."""
+        p, n, d, conv = self.p, self.n, self.dim, self.convention
+        if not has_shift_table(p, n, conv):
+            return None
         shifts = np.zeros((d + 1, n), dtype=np.int64)
         # y[alpha, r, j] = y_j^{(r)}(alpha) of the non-vertical classes
         y = self.geom.gens[:d, :, 1::2]
@@ -132,11 +140,7 @@ class WignerKernel:
             shifts[:d, 1] = np.arange(d) % 2
         elif conv == "p2-right":  # (a_1, 0)
             shifts[:d, 0] = np.arange(d) // 2
-        elif conv == "dynamics":
-            if p == 2:
-                # the closed-form kernel is not a generator-power product for
-                # n >= 2, so no shift table exists there
-                return frozen(shifts) if n == 1 else None
+        elif conv == "dynamics" and p != 2:  # at p=2 (n=1 here) every shift is 0
             shifts[:d] = prime_inverse(2, p) * np.diagonal(y, axis1=1, axis2=2)
         return frozen(shifts % p)
 
@@ -237,22 +241,16 @@ class WignerKernel:
 # ---------------------------------------------------------------------------
 
 
-def _with_density(table, rho: np.ndarray):
-    """`table` with rho, the density of its values, cached read-only."""
-    table.__dict__["density"] = frozen(rho)
-    return table
-
-
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """p^{2n} values on V_{2n}(p) in index-code order, in one convention;
-    holds a read-only copy of the values it is given (checked, as is the
-    convention), and its kernel once asked for; equal only to itself."""
+    """p^{2n} values on V_{2n}(p) in index-code order, in one convention: a
+    checked read-only copy of the values it is given, or, by _from_density,
+    built from its density on first read; equal only to itself."""
 
     p: int
     n: int
     convention: str
-    values: np.ndarray
+    values: np.ndarray  # for a _from_density table, each subclass's cached property
 
     def __post_init__(self):
         _validate_convention(self.p, self.n, self.convention)
@@ -260,6 +258,14 @@ class _Table:
         if values.shape != (N,):
             raise ValueError(f"a ({self.p}, {self.n}) table has {N} values, got {values.shape}")
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _from_density(cls, p: int, n: int, convention: str, rho: np.ndarray):
+        """The table of rho, d x d and kept read-only as its density; (p, n,
+        convention) already checked."""
+        table = object.__new__(cls)
+        vars(table).update(p=p, n=n, convention=convention, density=frozen(rho))
+        return table
 
     def value(self, w: Sequence[int]) -> complex:
         return complex(self.values[self.kernel.code(w)])
@@ -274,6 +280,11 @@ class CharTable(_Table):
     """chi(w) = tr[rho G(w)] on V_{2n}(p); its density once asked for."""
 
     @functools.cached_property
+    def values(self) -> np.ndarray:
+        """chi of a table built from its density, computed once, read-only."""
+        return frozen(self.kernel.char_values(self.density))
+
+    @functools.cached_property
     def density(self) -> np.ndarray:
         """rho = (1/p^n) sum_w chi(w) G(w)^dagger, computed once, read-only."""
         k = self.kernel
@@ -285,6 +296,12 @@ class CharTable(_Table):
 class WignerTable(_Table):
     """W(v) on V_{2n}(p), real for Hermitian inputs; its density and
     marginals once asked for."""
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """W of a table built from its density, computed once, read-only."""
+        k = self.kernel
+        return frozen(k.symplectic_ft(k.char_values(self.density)))
 
     @functools.cached_property
     def density(self) -> np.ndarray:
@@ -467,12 +484,6 @@ def check_complete_factorization(factors: Sequence[np.ndarray], p: int) -> Facto
     prod = functools.reduce(np.kron, [wigner_function(f, p, 1, one).values for f in factors])
     dev = float(np.abs(w_full - prod).max())
     return FactorizationReport(p, n, conv, twist, dev)
-
-
-def partial_transpose_matrix(rho: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise partial transpose on the second subsystem of H_p (x) H_p."""
-    rho = np.asarray(rho, dtype=complex).reshape(p, p, p, p)
-    return rho.transpose(0, 3, 2, 1).reshape(p * p, p * p)
 
 
 def wigner_partial_transpose(wt: WignerTable) -> WignerTable:

@@ -11,7 +11,8 @@ matrix eta^{v o w} / N from the kernel's index vectors, and each MUB
 projector as a product of powers of dense generator matrices. Memory grows
 as d^4, so keep them to d <= 27.
 
-The field route to the geometry lives here too: the map M and the class
+The field route to the geometry lives here too, with the trace as a sum of
+Frobenius conjugates and the partial transpose as an index reshuffle: the map M and the class
 generators g_r(alpha) = M(lambda^r u_alpha) by FieldElement arithmetic, one
 product at a time, and each point's shifted outcome code from the symplectic
 products with the generators; the library builds both as integer arrays.
@@ -119,6 +120,22 @@ def spin_product(p: int, a: tuple, b: tuple) -> PhasedOperator:
 def spin_power(p: int, idx: tuple, m: int) -> PhasedOperator:
     """S_idx^m as an exact PhasedOperator."""
     return phased_spin(p, idx).power(m)
+
+
+def frobenius_trace(field, a) -> int:
+    """tr(a) = a + a^p + ... + a^{p^{n-1}}, which must land in Z_p."""
+    acc, b = field.zero, a
+    for _ in range(field.n):
+        acc, b = acc + b, b**field.p
+    if any(c != 0 for c in acc.coeffs[1:]):
+        raise FieldError("trace did not land in the prime field")
+    return acc.coeffs[0]
+
+
+def partial_transpose_matrix(rho, p):
+    """Entrywise partial transpose on the second subsystem of H_p (x) H_p."""
+    rho = np.asarray(rho, dtype=complex).reshape(p, p, p, p)
+    return rho.transpose(0, 3, 2, 1).reshape(p * p, p * p)
 
 
 def generating_vectors(field):

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import mubwigner.checks as checks_mod
 from mubwigner.checks import CHECKS, check_state
 from mubwigner.cli import main
 from mubwigner.serialize import load_state, matrix_to_json
-from mubwigner.wigner import max_entangled_density, random_density
+from mubwigner.wigner import (
+    CONVENTIONS, ConventionError, has_shift_table, max_entangled_density, random_density,
+    wigner_kernel,
+)
 
 
 def write_json(path, obj):
@@ -88,6 +92,39 @@ def test_positivity_checks_refuse_a_bad_input_by_name(tmp_path, capsys, names):
     err = capsys.readouterr().err
     assert rc == 2 and "the input matrix is not finite and Hermitian" in err
     assert "positivity check" not in err
+
+
+def test_shift_rule_is_the_kernels():
+    for p, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        for conv in CONVENTIONS:
+            try:
+                k = wigner_kernel(p, n, conv)
+            except ConventionError:
+                continue
+            assert has_shift_table(p, n, conv) == (k.shifts is not None)
+
+
+def test_marginals_without_a_shift_table_are_refused_before_any_work(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the p=2 dynamics kernel at n >= 2 has no shift table for the marginals;
+    # the other checks still run on it
+    bell = np.zeros((4, 4))
+    bell[::3, ::3] = 0.5
+    assert check_state(bell, 2, 2, "dynamics", ["plancherel", "positivity"])["passed"]
+
+    def no_table(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(checks_mod, "wigner_function", no_table)
+    for n in (2, 3):
+        with pytest.raises(ConventionError, match="marginals check needs generator-route shifts"):
+            check_state(np.eye(2**n) / 2**n, 2, n, "dynamics")
+    state = write_json(tmp_path / "bell.json", matrix_to_json(bell))
+    out = tmp_path / "rep.json"
+    rc = main(["check", "--p", "2", "--n", "2", "--input", state, "--convention", "dynamics",
+               "--out", str(out)])
+    assert rc == 2 and "generator-route shifts" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pt_eigenvalue_is_eigvalsh_of_the_transposed_density(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from mubwigner.dynamics import (
     char_dynamics_table,
     density_from_dynamics_char,
     evolve,
-    evolve_trajectory,
     spin_coeff_bridge,
 )
 from mubwigner.fields import FieldError, prime_inverse
@@ -64,6 +64,11 @@ def hilbert_evolution(H, rho, t):
     lam, Q = np.linalg.eigh(H)
     U = (Q * np.exp(-1j * lam * t)) @ Q.conj().T
     return U @ rho @ U.conj().T
+
+
+def evolve_trajectory(state, gen, times):
+    """The evolved tables of a trajectory, one per time."""
+    return [table for _, table, _ in _trajectory(state, gen, times)]
 
 
 @pytest.mark.parametrize("p,n", CHAR_CASES)
@@ -271,6 +276,9 @@ def test_evolved_tables_carry_the_density_of_their_values(p, n):
 
 
 def test_evolve_pays_one_spin_trace_transform_per_time_point(monkeypatch, rng):
+    # an evolved table is built from rho(t): reading its density pays no
+    # spin-trace transform, its first values read pays exactly one, and a
+    # repeat read pays none
     calls = {"combine": 0, "traces": 0}
     for name in calls:
         real = getattr(SpinBasis, name)
@@ -294,14 +302,65 @@ def test_evolve_pays_one_spin_trace_transform_per_time_point(monkeypatch, rng):
     ]
     for (g, state, recover), rho in zip(routes, rhos[:1] + rhos):
         calls.update(combine=0, traces=0)
-        for t in times:
-            got = recover(evolve(state, g, t))
-            assert np.abs(got - hilbert_evolution(H, rho, t)).max() < TOL
-        assert calls["combine"] <= 1 and calls["traces"] == K
+        tables = [evolve(state, g, t) for t in times]
+        for t, table in zip(times, tables):
+            assert np.abs(recover(table) - hilbert_evolution(H, rho, t)).max() < TOL
+        assert calls["combine"] <= 1 and calls["traces"] == 0
+        for i, table in enumerate(tables):
+            assert table.values.shape == (p ** (2 * n),)
+            assert calls["traces"] == i + 1
+        for table in tables:
+            assert table.values is table.values
+        assert calls["traces"] == K
     # rho and its rotation are kept for the last table asked for
     calls.update(combine=0, traces=0)
-    evolve(chis[1], gen, 0.4)
+    assert evolve(chis[1], gen, 0.4).values.shape == (p ** (2 * n),)
     assert calls == {"combine": 0, "traces": 1}
+
+
+# p=2 Wigner tables evolve at every n; (2, 3) adds the third qubit
+DENSITY_FIRST_CASES = [
+    (p, n, kind) for p, n in [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3)] for kind in ("char", "wigner")
+] + [(2, 3, "wigner")]
+
+
+@pytest.mark.parametrize("p,n,kind", DENSITY_FIRST_CASES)
+def test_evolved_table_values_are_the_eager_formula(p, n, kind):
+    rng = np.random.default_rng([p, n, 3])
+    d = p**n
+    H = random_hermitian(d, rng)
+    chi0 = char_dynamics_table(random_density(d, rng), p, n)
+    state = chi0 if kind == "char" else wigner_from_char(chi0)
+    gen = (build_char_generator if kind == "char" else build_wigner_generator)(H, p, n)
+    k = state.kernel
+    for t, table, rho_t in _trajectory(state, gen, [0.0, 0.7, -1.3]):
+        assert table.density is rho_t and not rho_t.flags.writeable
+        eager = k.char_values(rho_t)
+        if kind == "wigner":
+            eager = k.symplectic_ft(eager)
+        values = table.values
+        assert np.array_equal(values, eager)
+        assert not values.flags.writeable
+        assert table.values is values
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.values = eager
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_evolved_tables_read_like_tables_built_from_values(p, n, rng):
+    d = p**n
+    H = random_hermitian(d, rng)
+    chi0 = char_dynamics_table(random_density(d, rng), p, n)
+    chit = evolve(chi0, build_char_generator(H, p, n), 0.6)
+    wt = evolve(wigner_from_char(chi0), build_wigner_generator(H, p, n), 0.6)
+    # tables of the same densities built the value-first way hold the same bits
+    fresh = char_function(chit.density, p, n, "dynamics")
+    fresh_w = wigner_function(wt.density, p, n, "dynamics")
+    w = [1] * (2 * n)
+    assert chit.value(w) == fresh.value(w) and wt.value(w) == fresh_w.value(w)
+    assert np.array_equal(wigner_from_char(chit).values, wigner_from_char(fresh).values)
+    assert np.array_equal(spin_coeff_bridge(chit), spin_coeff_bridge(fresh))
+    assert repr(chit) == repr(fresh) and repr(wt) == repr(fresh_w)
 
 
 def test_spin_coeff_bridge_qubit():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import frobenius_trace
 from mubwigner.fields import (
     FieldError,
     GaloisField,
@@ -70,6 +71,15 @@ def test_nonresidue_examples():
     assert smallest_nonresidue(7) == 3
     with pytest.raises(FieldError):
         is_quadratic_nonresidue(1, 2)
+
+
+def test_nonresidue_by_euler_at_larger_primes_and_its_refusals():
+    for p in (101, 1021):
+        for d in list(range(1, 40)) + [-1, -2, p + 2]:
+            assert is_quadratic_nonresidue(d, p) == brute_force_nonresidue(d, p)
+    for d, p in [(0, 7), (14, 7), (1, 9), (1, 1)]:
+        with pytest.raises(FieldError):
+            is_quadratic_nonresidue(d, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -175,7 +185,7 @@ def test_trace_matches_frobenius_sum(p, n):
     # independent definition: tr(a) = a + a^p + ... + a^{p^{n-1}}
     F = make_extension(p, n)
     for a in F.elements():
-        assert F.trace(a) == F.frobenius_trace(a)
+        assert F.trace(a) == frobenius_trace(F, a)
 
 
 @settings(deadline=None, max_examples=200)

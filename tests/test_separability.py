@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dense_oracle import kernel_op
+from dense_oracle import kernel_op, partial_transpose_matrix
 from mubwigner.wigner import (
     ConventionError,
     WignerTable,
@@ -11,7 +11,6 @@ from mubwigner.wigner import (
     check_product_factorization,
     marginal_along,
     max_entangled_density,
-    partial_transpose_matrix,
     positivity_check,
     random_density,
     reconstruct_density,
