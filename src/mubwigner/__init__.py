@@ -22,12 +22,9 @@ from .geometry import (
     all_lines,
     line_points,
     phase_geometry,
-    symplectic,
-    vector_symplectic,
 )
 from .spins import (
     alpha_factor,
-    eta,
     spin_basis,
     spin_decompose,
     spin_matrix,
@@ -69,7 +66,6 @@ from .wigner import (
     wigner_from_char,
     wigner_function,
     wigner_kernel,
-    wigner_maximally_entangled,
     wigner_partial_transpose,
 )
 from .checks import check_state

@@ -69,8 +69,8 @@ CHECKS = {
 def check_state(rho: np.ndarray, p: int, n: int, convention: str | None = None,
                 checks: Sequence[str] = ("marginals", "plancherel", "positivity"),
                 tol: float = 1e-10, seed: int = 0) -> dict:
-    """Run the named checks on rho; every name and tol is validated before any
-    work. Returns {p, n, convention, tol, checks: {name: result}, passed}."""
+    """Run the named checks on rho; every name, tol and seed is validated
+    before any work. Returns {p, n, convention, tol, checks: {name: result}, passed}."""
     rho, conv = np.asarray(rho, dtype=complex), convention or default_convention(p, n)
     if not checks:
         raise ValueError(f"no checks requested; known: {', '.join(CHECKS)}")
@@ -89,6 +89,8 @@ def check_state(rho: np.ndarray, p: int, n: int, convention: str | None = None,
             raise ValueError("pt check needs a separability convention")
     if not 0 < tol < float("inf"):  # NaN fails both comparisons
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if rho.shape != (p**n, p**n):
         raise ValueError(f"expected a {p**n}x{p**n} matrix, got {rho.shape}")
     if "positivity" in checks or "pt" in checks:

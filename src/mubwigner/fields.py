@@ -239,7 +239,6 @@ class GaloisField:
                 raise FieldError(f"x^{n} + {list(self.poly)} is reducible over Z_{p}")
         self._full_poly = list(self.poly) + [1]
         self._trace_powers = self._newton_power_sums(3 * n)
-        self._dual: Optional[tuple[FieldElement, ...]] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -273,7 +272,7 @@ class GaloisField:
         for code in range(self.order):
             yield self.from_int(code)
 
-    # -- trace and dual basis --------------------------------------------------
+    # -- trace ------------------------------------------------------------------
 
     def _newton_power_sums(self, kmax: int) -> list[int]:
         # P_k = sum of k-th powers of the roots of the defining polynomial,
@@ -301,37 +300,6 @@ class GaloisField:
         if a.field != self:
             raise FieldError("field mismatch")
         return sum(c * self.trace_power(k) for k, c in enumerate(a.coeffs)) % self.p
-
-    def dual_basis(self) -> tuple[FieldElement, ...]:
-        """Basis g_0..g_{n-1} with tr(lambda^j g_k) = delta(j,k).
-
-        Solves the n x n linear system given by the trace form over Z_p.
-        """
-        if self._dual is not None:
-            return self._dual
-        n, p = self.n, self.p
-        # T[j][m] = tr(lambda^{j+m}); solve T G = I mod p by Gauss-Jordan
-        T = [[self.trace_power(j + m) % p for m in range(n)] for j in range(n)]
-        G = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if T[r][col] % p != 0), None)
-            if piv is None:
-                raise FieldError("trace form is singular")  # impossible for a field
-            T[col], T[piv] = T[piv], T[col]
-            G[col], G[piv] = G[piv], G[col]
-            inv = prime_inverse(T[col][col], p)
-            T[col] = [(x * inv) % p for x in T[col]]
-            G[col] = [(x * inv) % p for x in G[col]]
-            for r in range(n):
-                if r != col and T[r][col]:
-                    f = T[r][col]
-                    T[r] = [(x - f * y) % p for x, y in zip(T[r], T[col])]
-                    G[r] = [(x - f * y) % p for x, y in zip(G[r], G[col])]
-        # column k of the solved system gives the coefficients of g_k
-        self._dual = tuple(
-            FieldElement(self, [G[m][k] for m in range(n)]) for k in range(n)
-        )
-        return self._dual
 
     # -- misc -------------------------------------------------------------------
 

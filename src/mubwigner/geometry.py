@@ -14,8 +14,8 @@ digits of alpha: the x half is lambda^r, that is e_r, and the y half is
 y_j = tr(lambda^{j+r} alpha) = sum_k a_k T[j+r+k], a product with the Hankel
 tensor of the Newton power sums T[k] = tr(lambda^k). All p^n + 1 classes are
 one integer product; no field element is multiplied. Each class's subspace is
-held as the codes of its p^n points, and the index equation w = sum_r b_r
-g_r(alpha) is solved by searching those codes.
+held as the codes of its p^n points, which solves the index equation w =
+sum_r b_r g_r(alpha) for every w at once: code(w) sits at (alpha, code(b)).
 """
 
 from __future__ import annotations
@@ -26,27 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import FieldElement, GaloisField, FieldError, make_extension
-from .spins import _digits, frozen, index_code
-
-
-def symplectic(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
-    """(j,k) o (s,t) = ks - jt over the field."""
-    j, k = u
-    s, t = v
-    if j.field != s.field:
-        raise FieldError("field mismatch")
-    return k * s - j * t
-
-
-def vector_symplectic(u: Sequence[int], v: Sequence[int], p: int) -> int:
-    """Blockwise symplectic sum over V_{2n}(p)."""
-    if len(u) != len(v) or len(u) % 2:
-        raise ValueError("shape mismatch")
-    acc = 0
-    for b in range(len(u) // 2):
-        acc += u[2 * b + 1] * v[2 * b] - u[2 * b] * v[2 * b + 1]
-    return acc % p
+from .fields import FieldElement, GaloisField, make_extension
+from .spins import _digits, frozen
 
 
 def _span(gens, p: int) -> np.ndarray:
@@ -83,8 +64,9 @@ def phase_geometry(p: int, n: int, poly: tuple | None = None) -> "PhaseGeometry"
 class PhaseGeometry:
     """Precomputed index tables for one field, as integer arrays: the
     generators of every class, and the point codes of every class's
-    subspace, codes[alpha, b] = code(sum_r b_r g_r(alpha)). The index
-    equation w = sum_r b_r g_r(alpha) is solved by a search of codes."""
+    subspace, codes[alpha, b] = code(sum_r b_r g_r(alpha)): the index
+    equation w = sum_r b_r g_r(alpha) solved for every w, which the kernel
+    scatters its phases through."""
 
     def __init__(self, field: GaloisField):
         self.field = field
@@ -170,16 +152,3 @@ class PhaseGeometry:
         """g_0(alpha)..g_{n-1}(alpha), shape (n, 2n); rejects bad labels."""
         self.check_label(alpha)
         return self.gens[alpha]
-
-    def decompose(self, w: Sequence[int]) -> tuple[int, tuple]:
-        """Solve w = sum_r b_r g_r(alpha) for (alpha, b), a search of codes;
-        w=0 maps to (0, 0), its first entry."""
-        code = index_code(self.p, self.index_vectors(w))
-        alpha, b = divmod(int(np.argmax(self.codes == code)), self.dim)
-        return alpha, tuple(int(c) for c in np.unravel_index(b, (self.p,) * self.n))
-
-    def subspace_points(self, alpha: int) -> dict[tuple, tuple]:
-        """b-tuple -> point of the alpha subspace (coefficients recoverable)."""
-        b = _digits(self.p, self.n).tolist()
-        points = _span(self.generators(alpha), self.p).tolist()
-        return dict(zip(map(tuple, b), map(tuple, points)))

@@ -136,24 +136,29 @@ def wigner_table_to_json(wt: WignerTable, tol: float = 1e-10) -> dict:
 
 
 def wigner_table_from_json(data: dict) -> WignerTable:
-    """Inverse of wigner_table_to_json; raises ValueError unless the records
+    """Inverse of wigner_table_to_json; raises ValueError unless the document
+    has "p", "n", "convention" and "values", and the records, each a dict,
     list every point of V_{2n}(p) exactly once, each "v" with 2n integer
     entries and each "w" a finite number or [re, im] pair."""
-    p, n = int(data["p"]), int(data["n"])
+    try:
+        p, n, conv, recs = int(data["p"]), int(data["n"]), data["convention"], data["values"]
+        vs, ws = [r["v"] for r in recs], [r["w"] for r in recs]
+    except (KeyError, TypeError) as exc:  # a missing key, or a record that is not a dict
+        raise ValueError(f"a table needs p, n, convention and values, and each record a v "
+                         f"and a w: {exc!r}") from None
     N = p ** (2 * n)
-    recs = data["values"]
-    codes = index_code(p, phase_geometry(p, n).index_vectors([r["v"] for r in recs], ndim=2))
+    codes = index_code(p, phase_geometry(p, n).index_vectors(vs, ndim=2))
     if len(codes) != N or len(np.unique(codes)) != N:
         raise ValueError(f"a table must list each of the {N} points of V_{2 * n}({p}) once")
     try:
-        w = np.array([r["w"] if isinstance(r["w"], list) else [r["w"], 0] for r in recs], float)
+        w = np.array([x if isinstance(x, list) else [x, 0] for x in ws], float)
     except (TypeError, ValueError):  # ragged or non-numeric
         w = np.zeros(0)
     if w.shape != (N, 2) or not np.isfinite(w).all():
         raise ValueError('each "w" must be a finite number or [re, im] pair')
     values = np.empty(N, dtype=complex)
     values[codes] = w.view(complex)[:, 0]
-    return WignerTable(p, n, data["convention"], values)
+    return WignerTable(p, n, conv, values)
 
 
 def wigner_csv_lines(wt: WignerTable, tol: float = 1e-10) -> list[str]:

@@ -23,14 +23,6 @@ import numpy as np
 from .fields import is_prime, FieldError
 
 
-def eta(d: int) -> complex:
-    if d == 1:
-        return 1.0 + 0j
-    if d == 2:
-        return -1.0 + 0j
-    return np.exp(2j * np.pi / d)
-
-
 def spin_matrix(d: int, j: int, k: int) -> np.ndarray:
     """S_{j,k} = sum_m eta^{jm} |m><m+k| (unitary; S_{0,0} is the identity)."""
     j, k, m = j % d, k % d, np.arange(d)
@@ -181,9 +173,9 @@ class SpinBasis:
 
     S_w for w = (x, y) blockwise is monomial, S_w[m, m+y] = eta^{x.m}, so
     tr(A S_w) = sum_m A[m+y, m] eta^{x.m}: a gather along the cyclic
-    diagonals of A into an (m digits, y digits) grid, then n passes that each
-    turn the leading m digit into x by one product with the p x p character
-    table and move it to the back; one permutation puts the (y, x) grid in code order.
+    diagonals of A into an (m digits, y code) grid, then one digit_dft with
+    sign +1 on the n m axes, which turns them into x, and y as a batch axis;
+    one permutation puts the (x digits, y digits) grid in code order.
     """
 
     def __init__(self, p: int, n: int):
@@ -192,36 +184,31 @@ class SpinBasis:
         self.p = p
         self.n = n
         self.dim = p**n
-        # _gather[code(m), code(y)] = flat position of entry (m + y, m) of a d x d matrix
+        # _gather[m digits, code(y)] = flat position of entry (m + y, m) of a d x d matrix
         M = np.kron([[1, 1], [1, 0]], np.eye(n, dtype=int))  # rows m + y, then m
-        self._gather = frozen(code_map(p, M).reshape(self.dim, -1))
+        self._gather = frozen(code_map(p, M).reshape((p,) * n + (self.dim,)))
+        self._signs = (1,) * n + (0,)  # digit_dft takes the m axes to x; y is a batch axis
         # _xy: the x axes, then the y axes, of a code order table; _to_code[code(w)] = the
-        # slot of w = (x, y) in the (y digits, x digits) grid that the passes leave
+        # slot of w = (x, y) in the (x digits, y digits) grid that the digit DFT leaves
         xy = self._xy = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
-        self._to_code = frozen(code_map(p, np.eye(2 * n, dtype=int)[[*xy[n:], *xy[:n]]]))
+        self._to_code = frozen(code_map(p, np.eye(2 * n, dtype=int)[list(xy)]))
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
         """All index vectors, (p^{2n}, 2n) in code order; read-only, built on first read."""
         return frozen(all_index_vectors(self.p, self.n))
 
-    def _passes(self, a: np.ndarray) -> np.ndarray:
-        """Take each of the n leading digits m to x by sum_m eta^{x m}, moving it to the back."""
-        for _ in range(self.n):  # ndarray.dot: less dispatch than @ on these small products
-            a = a.reshape(self.p, -1).T.dot(_characters(self.p, 1))
-        return a
-
     def traces(self, A: np.ndarray) -> np.ndarray:
         """tr(A S_w) for every index vector w, in code order."""
         a = np.asarray(A, dtype=complex).ravel()[self._gather]
-        return self._passes(a).ravel()[self._to_code]
+        return digit_dft(a, self.p, self._signs).ravel()[self._to_code]
 
     def combine(self, c: np.ndarray) -> np.ndarray:
         """sum_w c_w S_w for coefficients c in code order, the inverse
         scatter of traces: entry (m, m+y) is sum_x c_{x,y} eta^{x.m}."""
         c = np.asarray(c, dtype=complex).reshape((self.p,) * (2 * self.n)).transpose(self._xy)
         M = np.zeros(self.dim**2, dtype=complex)
-        M[self._gather.T] = self._passes(c).reshape(self.dim, -1)  # the (y, m) grid
+        M[self._gather] = digit_dft(c.reshape(self._gather.shape), self.p, self._signs)
         return M.reshape(self.dim, -1).T
 
 

@@ -545,7 +545,9 @@ def positivity_check(rho: np.ndarray, p: int, n: int, tol: float = ZERO_TOL) -> 
     Returns the most negative eigenvalue, from eigenvalues alone; when it is
     negative, the witness B is the projector onto its eigenvector, reported in
     spin-matrix coefficients. Both are computed when first read."""
-    rho = frozen(np.array(rho, dtype=complex))
+    rho, d = frozen(np.array(rho, dtype=complex)), p**n
+    if rho.shape != (d, d):
+        raise ValueError(f"expected a {d}x{d} matrix, got {rho.shape}")
     if not hermitian_defect(rho) <= HERMITIAN_TOL:  # a NaN defect fails too
         raise ValueError("positivity check expects a finite Hermitian matrix")
     lam = float(np.linalg.eigvalsh(rho)[0])
@@ -564,16 +566,6 @@ def max_entangled_density(p: int) -> np.ndarray:
         psi[j * p + j] = 1.0
     psi /= np.sqrt(p)
     return np.outer(psi, psi.conj())
-
-
-def wigner_maximally_entangled(p: int) -> WignerTable:
-    """Closed form for the maximally entangled state, odd p, separable
-    convention: (1/p^2) on the p^2 points with x1 = -1 - x0 and y1 = y0."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("closed form is stated for odd primes")
-    v = wigner_kernel(p, 2, "separable").vectors
-    on = ((1 + v[:, 0] + v[:, 2]) % p == 0) & (v[:, 1] == v[:, 3])
-    return WignerTable(p, 2, "separable", on / p**2 + 0j)
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

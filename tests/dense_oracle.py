@@ -12,20 +12,35 @@ projector as a product of powers of dense generator matrices. Memory grows
 as d^4, so keep them to d <= 27.
 
 The field route to the geometry lives here too, with the trace as a sum of
-Frobenius conjugates and the partial transpose as an index reshuffle: the map M and the class
-generators g_r(alpha) = M(lambda^r u_alpha) by FieldElement arithmetic, one
-product at a time, and each point's shifted outcome code from the symplectic
-products with the generators; the library builds both as integer arrays.
+Frobenius conjugates, the dual basis by elimination, and the partial transpose
+as an index reshuffle: the symplectic products over the field and over
+V_{2n}(p), the map M and the class generators g_r(alpha) = M(lambda^r u_alpha)
+by FieldElement arithmetic, one product at a time, and each point's shifted
+outcome code from the symplectic products with the generators; the library
+builds both as integer arrays. Each class subspace is spelled out as a dict,
+and the index equation is solved for one w by a search of the class codes.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from mubwigner.fields import FieldError, prime_inverse
+from mubwigner.fields import FieldError, FieldElement, GaloisField, is_prime, prime_inverse
+from mubwigner.geometry import _span
 from mubwigner.mub import class_members
-from mubwigner.spins import eta, index_code, spin_matrix, unit_phases
+from mubwigner.spins import index_code, spin_matrix, unit_phases
+from mubwigner.wigner import WignerTable, wigner_kernel
+
+
+def eta(d: int) -> complex:
+    """e^{2 pi i / d}, exactly 1 at d = 1 and -1 at d = 2."""
+    if d == 1:
+        return 1.0 + 0j
+    if d == 2:
+        return -1.0 + 0j
+    return np.exp(2j * np.pi / d)
 
 
 def _binom2(m: int) -> int:
@@ -130,6 +145,77 @@ def frobenius_trace(field, a) -> int:
     if any(c != 0 for c in acc.coeffs[1:]):
         raise FieldError("trace did not land in the prime field")
     return acc.coeffs[0]
+
+
+@functools.lru_cache(maxsize=None)
+def dual_basis(field: GaloisField) -> tuple[FieldElement, ...]:
+    """Basis g_0..g_{n-1} with tr(lambda^j g_k) = delta(j,k).
+
+    Solves the n x n linear system given by the trace form over Z_p.
+    """
+    n, p = field.n, field.p
+    # T[j][m] = tr(lambda^{j+m}); solve T G = I mod p by Gauss-Jordan
+    T = [[field.trace_power(j + m) % p for m in range(n)] for j in range(n)]
+    G = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if T[r][col] % p != 0), None)
+        if piv is None:
+            raise FieldError("trace form is singular")  # impossible for a field
+        T[col], T[piv] = T[piv], T[col]
+        G[col], G[piv] = G[piv], G[col]
+        inv = prime_inverse(T[col][col], p)
+        T[col] = [(x * inv) % p for x in T[col]]
+        G[col] = [(x * inv) % p for x in G[col]]
+        for r in range(n):
+            if r != col and T[r][col]:
+                f = T[r][col]
+                T[r] = [(x - f * y) % p for x, y in zip(T[r], T[col])]
+                G[r] = [(x - f * y) % p for x, y in zip(G[r], G[col])]
+    # column k of the solved system gives the coefficients of g_k
+    return tuple(FieldElement(field, [G[m][k] for m in range(n)]) for k in range(n))
+
+
+def symplectic(u, v) -> FieldElement:
+    """(j,k) o (s,t) = ks - jt over the field."""
+    j, k = u
+    s, t = v
+    if j.field != s.field:
+        raise FieldError("field mismatch")
+    return k * s - j * t
+
+
+def vector_symplectic(u, v, p: int) -> int:
+    """Blockwise symplectic sum over V_{2n}(p)."""
+    if len(u) != len(v) or len(u) % 2:
+        raise ValueError("shape mismatch")
+    acc = 0
+    for b in range(len(u) // 2):
+        acc += u[2 * b + 1] * v[2 * b] - u[2 * b] * v[2 * b + 1]
+    return acc % p
+
+
+def subspace_points(geom, alpha):
+    """b-tuple -> point of the alpha subspace (coefficients recoverable)."""
+    b = itertools.product(range(geom.p), repeat=geom.n)
+    return dict(zip(b, map(tuple, _span(geom.generators(alpha), geom.p).tolist())))
+
+
+def decompose(geom, w):
+    """Solve w = sum_r b_r g_r(alpha) for (alpha, b), a search of codes;
+    w=0 maps to (0, 0), its first entry."""
+    code = index_code(geom.p, geom.index_vectors(w))
+    alpha, b = divmod(int(np.argmax(geom.codes == code)), geom.dim)
+    return alpha, tuple(int(c) for c in np.unravel_index(b, (geom.p,) * geom.n))
+
+
+def wigner_maximally_entangled(p):
+    """Closed form for the maximally entangled state, odd p, separable
+    convention: (1/p^2) on the p^2 points with x1 = -1 - x0 and y1 = y0."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("closed form is stated for odd primes")
+    v = wigner_kernel(p, 2, "separable").vectors
+    on = ((1 + v[:, 0] + v[:, 2]) % p == 0) & (v[:, 1] == v[:, 3])
+    return WignerTable(p, 2, "separable", on / p**2 + 0j)
 
 
 def partial_transpose_matrix(rho, p):

@@ -61,6 +61,31 @@ def test_check_state_rejects_a_bad_tol(tol):
         check_state(np.eye(3) / 3, 3, 1, tol=tol)
 
 
+@pytest.mark.parametrize("seed", [-1, -2, 1.5, "3", None])
+def test_check_state_rejects_a_bad_seed_before_any_work(seed, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(checks_mod, "wigner_function", no_table)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        check_state(np.eye(9) / 9, 3, 2, seed=seed)
+
+
+def test_check_refuses_a_negative_seed_before_any_work(tmp_path, capsys, monkeypatch):
+    # seed + 1 seeds the plancherel check's state, so -1 got through as 0
+    def no_table(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(checks_mod, "wigner_function", no_table)
+    state = write_json(tmp_path / "prod.json", {"alpha": 0, "s": [0, 0]})
+    for seed in ("-1", "-2"):
+        out = tmp_path / "seed.out"
+        rc = main(["check", "--p", "3", "--n", "2", "--input", state, "--seed", seed,
+                   "--out", str(out)])
+        assert rc == 2 and "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_pt_refuses_a_non_hermitian_matrix(tmp_path, capsys):
     # eigvalsh reads one triangle, so without the Hermiticity rule of
     # positivity_check a non-Hermitian input would get a verdict

@@ -172,6 +172,30 @@ def test_wigner_table_json_rejects_unknown_conventions(rng):
             wigner_table_from_json(data)
 
 
+def _drop(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_drop("p"), id="no-p"),
+    pytest.param(_drop("n"), id="no-n"),
+    pytest.param(_drop("convention"), id="no-convention"),
+    pytest.param(_drop("values"), id="no-values"),
+    pytest.param(lambda data: data["values"][3].pop("v"), id="record-without-v"),
+    pytest.param(lambda data: data["values"][3].pop("w"), id="record-without-w"),
+    pytest.param(lambda data: data["values"].__setitem__(3, [[1, 0], 0.5]), id="list-record"),
+    pytest.param(lambda data: data["values"].__setitem__(3, 0.5), id="number-record"),
+    pytest.param(lambda data: data["values"].__setitem__(3, "vw"), id="string-record"),
+])
+def test_wigner_table_json_rejects_missing_keys(edit, rng):
+    data = _corrupt_table_json(rng, lambda recs: None)
+    edit(data)
+    with pytest.raises(ValueError, match="each record a v and a w"):
+        wigner_table_from_json(data)
+
+
 def test_wigner_table_json_keeps_entry_bits(rng):
     # real entries and [re, im] pairs, signed zeros included, come back bit for bit
     data = _corrupt_table_json(rng, lambda recs: None)

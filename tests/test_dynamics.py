@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import SIGMA, random_hermitian
-from dense_oracle import spin_stack
+from dense_oracle import eta, spin_stack
 from mubwigner.dynamics import (
     GeneratorMatrix,
     UnsupportedDynamicsError,
@@ -22,7 +22,6 @@ from mubwigner.fields import FieldError, prime_inverse
 from mubwigner.spins import (
     SpinBasis,
     all_index_vectors,
-    eta,
     index_code,
     spin_matrix,
     spin_projector,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dense_oracle import kernel_op, partial_transpose_matrix
+from dense_oracle import kernel_op, partial_transpose_matrix, wigner_maximally_entangled
 from mubwigner.wigner import (
     ConventionError,
     WignerTable,
@@ -16,7 +16,6 @@ from mubwigner.wigner import (
     reconstruct_density,
     wigner_function,
     wigner_kernel,
-    wigner_maximally_entangled,
     wigner_partial_transpose,
 )
 

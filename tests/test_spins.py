@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import SIGMA
-from dense_oracle import phased_spin, spin_power, spin_product, spin_stack
+from dense_oracle import eta, phased_spin, spin_power, spin_product, spin_stack
 from mubwigner.spins import (
     _MINUS_I_POWERS,
     SpinBasis,
@@ -16,7 +16,6 @@ from mubwigner.spins import (
     alpha_factor,
     code_map,
     digit_dft,
-    eta,
     index_code,
     spin_decompose,
     spin_matrix,

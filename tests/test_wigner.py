@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from conftest import SIGMA, random_hermitian
 from dense_oracle import (
     DenseKernel,
+    eta,
     ft_matrix,
     kernel_op,
     kernel_ops,
@@ -33,7 +34,6 @@ from mubwigner.spins import (
     _characters,
     _digits,
     all_index_vectors,
-    eta,
     index_code,
     spin_matrix,
     spin_projector,
@@ -61,7 +61,6 @@ from mubwigner.wigner import (
     wigner_from_char,
     wigner_function,
     wigner_kernel,
-    wigner_maximally_entangled,
     wigner_partial_transpose,
     _validate_convention,
 )
@@ -461,6 +460,17 @@ def test_a_operator_builds_no_stack():
     _assert_read_only(A)
     assert np.abs(A - A.conj().T).max() < 1e-15
     assert abs(np.trace(A) - 3**-5) < 1e-15
+
+
+@pytest.mark.parametrize("p,n,conv", [(3, 5, "separable"), (3, 5, "dynamics"), (2, 8, "plain")])
+def test_a_operator_traces_give_the_table_at_large_d(p, n, conv):
+    # W(u) = tr[rho A(u)] at d = 243 and 256, where no dense oracle fits
+    rng = np.random.default_rng(11)
+    rho = random_density(p**n, rng)
+    wt = wigner_function(rho, p, n, conv)
+    for u in rng.integers(0, p, size=(4, 2 * n)).tolist():
+        A = a_operator(p, n, u, conv)
+        assert abs(wt.value(u) - np.sum(rho * A.T)) <= 1e-15
 
 
 @pytest.mark.parametrize("u", [(0, 0, 1), (0.5, 1), (1,), (float("nan"), 0), ((0, 1),)])
@@ -930,6 +940,14 @@ def test_positivity_check_agrees_with_eigen_oracle(rng):
         assert res.positive == bool(np.linalg.eigvalsh(H)[0] >= -1e-10)
 
 
+@pytest.mark.parametrize("rho", [np.eye(4) / 4, np.zeros((2, 3)), np.zeros(9),
+                                 np.zeros((3, 3, 3)), np.eye(27) / 27])
+def test_positivity_check_rejects_a_wrong_shape(rho):
+    # a 4x4 input got a result labelled p=3, n=2, and a 2x3 one a broadcast error
+    with pytest.raises(ValueError, match="expected a 9x9 matrix"):
+        positivity_check(rho, 3, 2)
+
+
 def test_positivity_check_rejects_non_hermitian(rng):
     with pytest.raises(ValueError):
         positivity_check(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), 3, 1)
@@ -1109,7 +1127,7 @@ def test_index_tables_match_stack_formulas(p, n, conv):
     # _gather in (m, y) block order: the (x, y) stack read as (m, y) is the (x..., y...) grid
     xy = np.argsort(index_code(p, np.hstack([x, y])))
     tables = [(k.basis._gather.ravel(), (index_code(p, x + y) * p**n + index_code(p, x))[xy]),
-              (k.basis._to_code, index_code(p, np.hstack([y, x]))),
+              (k.basis._to_code, index_code(p, np.hstack([x, y]))),
               (k._neg_perm, index_code(p, -vecs))]
     if n == 2 and p % 2:
         pt = vecs.copy()
@@ -1129,7 +1147,7 @@ def test_index_tables_match_stack_formulas(p, n, conv):
 
 @pytest.mark.parametrize("p,n,conv", [(2, 8, "plain"), (2, 8, "dynamics"), (3, 5, "separable")])
 def test_tables_build_without_index_vector_stacks(p, n, conv, monkeypatch):
-    from mubwigner import geometry as geometry_mod, mub as mub_mod, spins as spins_mod
+    from mubwigner import mub as mub_mod, spins as spins_mod
     from mubwigner.spins import SpinBasis
 
     def no_stack(*args):
@@ -1142,7 +1160,7 @@ def test_tables_build_without_index_vector_stacks(p, n, conv, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(spins_mod, "all_index_vectors", no_stack)
-        for mod in (spins_mod, wigner_mod, geometry_mod, mub_mod):
+        for mod in (spins_mod, wigner_mod, mub_mod):
             m.setattr(mod, "index_code", one_code)
         m.setattr(wigner_mod, "spin_basis", SpinBasis)  # a fresh, uncached basis
         k = wigner_mod.WignerKernel(p, n, conv)
