@@ -211,6 +211,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         if not 0 < args.tol < float("inf"):  # NaN fails both comparisons
             ap.error(f"argument --tol: must be finite and > 0, got {args.tol}")
+        if args.seed < 0:
+            ap.error(f"argument --seed: seed must be a non-negative integer, got {args.seed}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -7,14 +7,18 @@ system dchi(w)/dt = -i sum_u L(w,u) chi(u) with L Hermitian and
 L chi_rho = chi_{[H, rho]}: evolution is exp(-iLt) on the table vector.
 That flow is unitary covariance, exp(-iLt) chi_rho = chi_{U rho U^dagger}
 with U = e^{-iHt}, so evolve() never forms L. It takes rho, the table's
-read-only density, into the eigenbasis of the d x d Hamiltonian
-H = Q diag(lambda) Q^dagger (eigh paid once and cached, O(d^3)) once per
-(table, generator), as R = Q^dagger rho Q. Each time point then costs one
-exp of the d phases and two d x d products, rho(t) = B R B^dagger with
+read-only density (the exact input of char_dynamics_table, which keeps it),
+into the eigenbasis of the d x d Hamiltonian H = Q diag(lambda) Q^dagger
+(eigh paid once and cached, O(d^3)) as R = Q^dagger rho Q. That rotation,
+and the check that the table fits the generator (kind, convention, shape),
+happen once per (table, generator), when the generator's memo is set. Each
+time point then checks that t is finite and takes one fused step: one exp
+of the d phases and two d x d products, rho(t) = B R B^dagger with
 B = Q e^{-i lambda t}: O(d^3), where an eigendecomposition of L would cost
-O(N^3) = O(d^6), N = p^{2n}. An evolved table holds rho(t) as its density
-and pays the spin-trace transform (and symplectic FT) on its first values
-read. GeneratorMatrix.matrix still builds the N x N L, the paper's
+O(N^3) = O(d^6), N = p^{2n}. evolve() and the CLI's trajectory take the
+same step. An evolved table holds rho(t) as its density and pays the
+spin-trace transform (and symplectic FT) on its first values read.
+GeneratorMatrix.matrix still builds the N x N L, the paper's
 explicit object, on first read; the tests use exp(-iLt) as the oracle for
 evolve(). For odd primes the same dynamics transfers to Wigner tables
 through the symplectic transform, with generator
@@ -59,10 +63,10 @@ class UnsupportedDynamicsError(ValueError):
 class GeneratorMatrix:
     """A Hamiltonian with, each built on first read, its eigendecomposition
     and the N x N generator L of its table flow (none for a Wigner generator
-    at p=2); all are read-only. The last evolved table's density in the
-    eigenbasis is kept in _rotated. The kind, a prime p and H are checked
-    when it is built: H is d x d, finite, and Hermitian relative to its
-    scale, max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
+    at p=2); all are read-only. _rotated keeps what each time step reads,
+    for the last table evolved (see _rotation). The kind, a prime p and H
+    are checked when it is built: H is d x d, finite, and Hermitian relative
+    to its scale, max|H - H^dagger| <= HERMITICITY_TOL max(1, max|H|)."""
 
     kind: str  # "char" | "wigner"
     p: int
@@ -157,10 +161,13 @@ def build_wigner_generator(H: np.ndarray, p: int, n: int) -> GeneratorMatrix:
     return GeneratorMatrix("wigner", p, n, H)
 
 
-def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
-    """Yield (t, table at t, rho(t)) for each t in times; each table holds
-    rho(t) as its density and builds its values on first read. Q^dagger rho Q
-    is kept on the generator for the last state it was taken for."""
+def _rotation(state, gen: GeneratorMatrix) -> tuple:
+    """The memo (state, Q, -i lambda, R = Q^dagger rho Q) of state under gen,
+    kept on the generator for the last state it was taken for. The state is
+    checked against the generator only when its memo is set."""
+    memo = gen._rotated
+    if memo is not None and memo[0] is state:
+        return memo
     if isinstance(state, CharTable):
         if gen.kind != "char":
             raise ValueError("characteristic tables evolve under a char-space generator")
@@ -173,24 +180,45 @@ def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
         raise ConventionError("dynamics acts on tables in the dynamics convention")
     if (state.p, state.n) != (gen.p, gen.n):
         raise ValueError("state and generator shapes differ")
-    for t in times:
-        if not math.isfinite(t):
-            raise ValueError(f"time must be finite, got {t}")
     lam, Q = gen.eig()
-    memo = gen._rotated
-    if memo is None or memo[0] is not state:
-        memo = (state, frozen(Q.conj().T @ state.density @ Q))
-        object.__setattr__(gen, "_rotated", memo)
+    memo = (state, Q, frozen(-1j * lam), frozen(Q.conj().T @ state.density @ Q))
+    object.__setattr__(gen, "_rotated", memo)
+    return memo
+
+
+def _step(memo: tuple, t: float):
+    """The table of rho(t) = B R B^dagger with B = Q e^{-i lambda t}, holding
+    rho(t) as its density; t already checked finite."""
+    state, Q, rate, R = memo
+    B = Q * np.exp(t * rate)
+    rho_t = B.dot(R).dot(B.conj().T)
+    return type(state)._from_density(state.p, state.n, state.convention, rho_t)
+
+
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+
+
+def _trajectory(state, gen: GeneratorMatrix, times: Sequence[float]):
+    """Yield (t, table at t, rho(t)) for each t in times, each by one _step;
+    the pair and every t are checked before the first is yielded."""
+    memo = _rotation(state, gen)
     for t in times:
-        B = Q * np.exp((-1j * t) * lam)  # Q e^{-i lambda t}, so rho(t) = B R B^dagger
-        rho_t = B.dot(memo[1]).dot(B.conj().T)
-        yield t, type(state)._from_density(state.p, state.n, state.convention, rho_t), rho_t
+        _check_time(t)
+    for t in times:
+        table = _step(memo, t)
+        yield t, table, table.density
 
 
 def evolve(state, gen: GeneratorMatrix, t: float):
     """Propagate a dynamics-convention table to time t: exp(-iLt) applied as
-    the table of U rho U^dagger, U = e^{-iHt}, built from that density."""
-    return next(_trajectory(state, gen, [t]))[1]
+    the table of U rho U^dagger, U = e^{-iHt}, built from that density. Only
+    the first call for a (state, generator) pair checks the pair and rotates
+    rho; each call checks that t is finite and takes one _step."""
+    memo = _rotation(state, gen)
+    _check_time(t)
+    return _step(memo, t)
 
 
 def char_dynamics_table(rho: np.ndarray, p: int, n: int) -> CharTable:

@@ -188,10 +188,13 @@ class SpinBasis:
         M = np.kron([[1, 1], [1, 0]], np.eye(n, dtype=int))  # rows m + y, then m
         self._gather = frozen(code_map(p, M).reshape((p,) * n + (self.dim,)))
         self._signs = (1,) * n + (0,)  # digit_dft takes the m axes to x; y is a batch axis
-        # _xy: the x axes, then the y axes, of a code order table; _to_code[code(w)] = the
-        # slot of w = (x, y) in the (x digits, y digits) grid that the digit DFT leaves
-        xy = self._xy = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
-        self._to_code = frozen(code_map(p, np.eye(2 * n, dtype=int)[list(xy)]))
+        # _xy: the x axes, then the y axes, of a code order table (combine's layout)
+        self._xy = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+        # the digit DFT leaves the (x digits, y) grid in (y, x digits) memory order, read
+        # through its transpose: _to_code[code(w)] = the slot of w = (x, y) in (y, x) order
+        self._yx = (n, *range(n))
+        yx = (*range(1, 2 * n, 2), *range(0, 2 * n, 2))
+        self._to_code = frozen(code_map(p, np.eye(2 * n, dtype=int)[list(yx)]))
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
@@ -201,7 +204,7 @@ class SpinBasis:
     def traces(self, A: np.ndarray) -> np.ndarray:
         """tr(A S_w) for every index vector w, in code order."""
         a = np.asarray(A, dtype=complex).ravel()[self._gather]
-        return digit_dft(a, self.p, self._signs).ravel()[self._to_code]
+        return digit_dft(a, self.p, self._signs).transpose(self._yx).ravel()[self._to_code]
 
     def combine(self, c: np.ndarray) -> np.ndarray:
         """sum_w c_w S_w for coefficients c in code order, the inverse

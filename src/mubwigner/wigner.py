@@ -35,13 +35,15 @@ phases eta^{-r(alpha).b} are a kernel constant. class_marginals reads that
 array; marginal_along reads frozen rows of Python floats (None where the
 entry is not real), built from it once per table, so each lookup is one tuple
 index. Characteristic and Wigner tables share one immutable base, which checks
-what enters (p^{2n} values, a convention valid at (p, n)), holds a read-only
-copy of the values (an evolved table holds its density instead) and compares
-and hashes by identity. Every derived array, a table's density, marginals or
-evolved values as well as the kernel's gathers code(-w) and the odd-p
-partial transpose x_1 -> -1 - x_1, is a cached property, built read-only on
-first read. The gathers are digit maps (spins.code_map), built without the
-(N, 2n) vectors, which are made only when read. The A operators,
+what enters (p^{2n} values, a convention valid at (p, n)), compares and
+hashes by identity, and holds one read-only array from the start: a copy of
+the values it is given or, for a table made by char_function or evolve, its
+density. Every derived array, a table's values, density or marginals as
+well as the kernel's gathers code(-w) and the odd-p partial transpose
+x_1 -> -1 - x_1, is a cached property, built read-only on first read.
+wigner_function computes W from rho at once and keeps no density. The
+gathers are digit maps (spins.code_map), built without the (N, 2n) vectors,
+which are made only when read. The A operators,
 in every convention, are translates of A(0), built on request.
 """
 
@@ -180,11 +182,15 @@ class WignerKernel:
         stack *= ph.conj()[:, None, :]
         return frozen(stack)
 
-    def char_values(self, rho: np.ndarray) -> np.ndarray:
+    def _square(self, rho) -> np.ndarray:
+        """rho as a complex array (no copy if it is one); ValueError unless d x d."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {rho.shape}")
-        return self.phases * self.basis.traces(rho)
+        return rho
+
+    def char_values(self, rho: np.ndarray) -> np.ndarray:
+        return self.phases * self.basis.traces(self._square(rho))
 
     def symplectic_ft(self, values: np.ndarray) -> np.ndarray:
         """W(v) = p^{-2n} sum_w eta^{v o w} chi(w), with v o w = sum_b
@@ -243,9 +249,10 @@ class WignerKernel:
 
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """p^{2n} values on V_{2n}(p) in index-code order, in one convention: a
-    checked read-only copy of the values it is given, or, by _from_density,
-    built from its density on first read; equal only to itself."""
+    """p^{2n} values on V_{2n}(p) in index-code order, in one convention, equal
+    only to itself. It holds from the start either a checked read-only copy of
+    the values it is given or, by _from_density (char_function, evolve), its
+    read-only density; the other is a cached property, built on first read."""
 
     p: int
     n: int
@@ -277,7 +284,7 @@ class _Table:
 
 @dataclass(frozen=True, eq=False)  # frozen itself: a plain subclass takes new attributes
 class CharTable(_Table):
-    """chi(w) = tr[rho G(w)] on V_{2n}(p); its density once asked for."""
+    """chi(w) = tr[rho G(w)] on V_{2n}(p), with rho as its density."""
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -343,10 +350,11 @@ def char_function(
     rho: np.ndarray, p: int, n: int, convention: Optional[str] = None
 ) -> CharTable:
     """Characteristic table of any square matrix of size p^n (Hermiticity
-    is not required; operators get operator-valued quasi-distributions)."""
-    convention = convention or default_convention(p, n)
-    k = wigner_kernel(p, n, convention)
-    return CharTable(p, n, convention, k.char_values(rho))
+    is not required; operators get operator-valued quasi-distributions).
+    The table keeps a read-only copy of rho as its density and computes its
+    values on first read."""
+    k = wigner_kernel(p, n, convention or default_convention(p, n))
+    return CharTable._from_density(p, n, k.convention, k._square(np.array(rho, dtype=complex)))
 
 
 def wigner_from_char(chi: CharTable) -> WignerTable:
@@ -361,7 +369,9 @@ def char_from_wigner(wt: WignerTable) -> CharTable:
 def wigner_function(
     rho: np.ndarray, p: int, n: int, convention: Optional[str] = None
 ) -> WignerTable:
-    return wigner_from_char(char_function(rho, p, n, convention))
+    """Wigner table of rho, its values computed now; no copy of rho is kept."""
+    k = wigner_kernel(p, n, convention or default_convention(p, n))
+    return WignerTable(p, n, k.convention, k.symplectic_ft(k.char_values(rho)))
 
 
 def a_operator(p: int, n: int, u: Sequence[int], convention: Optional[str] = None) -> np.ndarray:

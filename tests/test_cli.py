@@ -684,6 +684,27 @@ def test_cli_rejects_bad_tol_before_any_work(tmp_path, monkeypatch, capsys, cmd,
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("state", [{"alpha": 0, "s": [0]}, {"random": "density"}])
+@pytest.mark.parametrize("cmd", ["mub", "wigner", "check", "evolve"])
+def test_cli_rejects_a_negative_seed_before_any_work(tmp_path, monkeypatch, capsys, cmd, state):
+    # wigner ignored the seed of a projector state and exited 0, and a random
+    # state reached numpy's bare "expected non-negative integer"
+    from mubwigner import cli
+
+    def refuse(*args):
+        raise AssertionError("work started before --seed was validated")
+
+    monkeypatch.setattr(cli, "_validate_pn", refuse)
+    path = write_json(tmp_path / "s.json", state)
+    hfile = write_json(tmp_path / "H.json", matrix_to_json(np.eye(3)))
+    extra = {"mub": [], "evolve": ["--input", path, "--hamiltonian", hfile]}.get(
+        cmd, ["--input", path])
+    out = tmp_path / "out"
+    assert main([cmd, "--p", "3", "--n", "1", *extra, "--seed", "-2", "--out", str(out)]) == 2
+    assert "argument --seed: seed must be a non-negative integer, got -2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_cli_check_separability_tests_the_reduced_product(tmp_path):
     # the check tests the factorisation law on tr_B rho (x) tr_A rho, which a
     # Bell state meets exactly; only pt flags its entanglement

@@ -28,6 +28,7 @@ from mubwigner.spins import (
     spin_recompose,
 )
 from mubwigner.wigner import (
+    CharTable,
     ConventionError,
     char_function,
     plancherel_inner,
@@ -548,11 +549,18 @@ def test_generator_and_its_eigendecomposition_are_read_only(rng):
 
 
 def test_evolve_rejects_non_finite_time(rng):
+    # on a pair's first call, and on the fast path once its memo is set
     gen = build_char_generator(random_hermitian(3, rng), 3, 1)
-    chi0 = char_dynamics_table(random_density(3, rng), 3, 1)
-    for t in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            evolve(chi0, gen, t)
+    for warm in (False, True):
+        chi0 = char_dynamics_table(random_density(3, rng), 3, 1)
+        if warm:
+            evolve(chi0, gen, 0.5)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="time must be finite"):
+                evolve(chi0, gen, t)
+            with pytest.raises(ValueError, match="time must be finite"):
+                next(_trajectory(chi0, gen, [0.1, t]))
+        assert gen._rotated[0] is chi0
 
 
 def test_evolve_allocates_no_n_by_n_array():
@@ -588,3 +596,65 @@ def test_evolve_matches_generator_exponential(p, n):
     for gen, table in tables:
         want = expm(-1j * gen.matrix * t) @ table.values
         assert np.abs(evolve(table, gen, t).values - want).max() < TOL
+
+
+# -- the fused step --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_value_built_tables_recover_rho_and_evolve_like_the_generator(p, n):
+    # a table built from chi values gets its density by combine; that density
+    # and the evolved values match the dense oracle and exp(-iLt)
+    rng = np.random.default_rng([p, n, 7])
+    d = p**n
+    rho = random_density(d, rng)
+    k = wigner_kernel(p, n, "dynamics")
+    G = k.phases[:, None, None] * spin_stack(p, n, k.vectors)
+    chi = char_dynamics_table(rho, p, n)
+    built = CharTable(p, n, "dynamics", chi.values)
+    dense = np.tensordot(built.values, np.conj(G).transpose(0, 2, 1), axes=(0, 0)) / d
+    assert np.abs(built.density - dense).max() < TOL
+    assert np.abs(built.density - rho).max() < TOL
+    gen = build_char_generator(random_hermitian(d, rng), p, n)
+    for t in (0.0, 0.6, -1.7):
+        want = expm(-1j * gen.matrix * t) @ built.values
+        assert np.abs(evolve(built, gen, t).values - want).max() < TOL
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (5, 2)])
+def test_fast_evolve_is_the_trajectory_step_bit_for_bit(p, n):
+    rng = np.random.default_rng([p, n, 8])
+    d = p**n
+    H = random_hermitian(d, rng)
+    chi = char_dynamics_table(random_density(d, rng), p, n)
+    routes = [(build_char_generator(H, p, n), chi),
+              (build_wigner_generator(H, p, n), wigner_from_char(chi))]
+    times = [0.0, 0.3, -2.25, 7.0]
+    for gen, state in routes:
+        walked = list(_trajectory(state, gen, times))
+        for t, (t_walk, table, rho_t) in zip(times, walked):
+            fast = evolve(state, gen, t)
+            assert t_walk == t and rho_t is table.density
+            assert type(fast) is type(state) and fast.convention == "dynamics"
+            assert np.array_equal(fast.density, table.density)
+            assert np.array_equal(fast.values, table.values)
+
+
+def test_a_second_state_replaces_the_rotation_memo(rng):
+    p, n = 3, 2
+    H = random_hermitian(9, rng)
+    rhos = [random_density(9, rng) for _ in range(2)]
+    chis = [char_dynamics_table(rho, p, n) for rho in rhos]
+    gen = build_char_generator(H, p, n)
+    assert gen._rotated is None
+    for chi, rho in zip(chis + chis[:1], rhos + rhos[:1]):
+        table = evolve(chi, gen, 0.8)
+        assert gen._rotated[0] is chi
+        lam, Q = gen.eig()
+        assert np.array_equal(gen._rotated[3], Q.conj().T @ chi.density @ Q)
+        assert np.abs(table.density - hilbert_evolution(H, rho, 0.8)).max() < TOL
+        # a repeat call for the same state keeps the memo it found
+        memo = gen._rotated
+        evolve(chi, gen, -0.2)
+        assert gen._rotated is memo
+

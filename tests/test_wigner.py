@@ -25,7 +25,7 @@ from mubwigner.dynamics import (
     density_from_dynamics_char,
     evolve,
 )
-from mubwigner.fields import is_prime, prime_inverse
+from mubwigner.fields import FieldError, is_prime, prime_inverse
 from mubwigner.geometry import phase_geometry
 from mubwigner.mub import class_vectors, mub_projector
 from mubwigner import wigner as wigner_mod
@@ -1127,7 +1127,8 @@ def test_index_tables_match_stack_formulas(p, n, conv):
     # _gather in (m, y) block order: the (x, y) stack read as (m, y) is the (x..., y...) grid
     xy = np.argsort(index_code(p, np.hstack([x, y])))
     tables = [(k.basis._gather.ravel(), (index_code(p, x + y) * p**n + index_code(p, x))[xy]),
-              (k.basis._to_code, index_code(p, np.hstack([x, y]))),
+              # the digit DFT's (x digits, y) grid, read through its (y, x) transpose
+              (k.basis._to_code, index_code(p, np.hstack([y, x]))),
               (k._neg_perm, index_code(p, -vecs))]
     if n == 2 and p % 2:
         pt = vecs.copy()
@@ -1180,3 +1181,59 @@ def test_tables_are_checked_where_they_enter(cls):
         with pytest.raises(ConventionError):
             cls(p, n, conv, np.zeros(p ** (2 * n)))
     assert cls(3, 1, "plain", np.arange(9.0)).values.shape == (9,)
+
+
+# -- density-first characteristic tables ---------------------------------------
+
+
+@pytest.mark.parametrize("p,n,conv", ALL_CASES)
+def test_char_function_values_are_the_eager_values_bit_for_bit(p, n, conv):
+    # char_function keeps rho and computes chi on first read; the values are
+    # those of a table built from the eagerly computed chi, and so is W
+    rng = np.random.default_rng([p, n, len(conv)])
+    k = wigner_kernel(p, n, conv)
+    for rho in (random_density(p**n, rng), rng.normal(size=(p**n, p**n))):
+        chi = char_function(rho, p, n, conv)
+        assert "values" not in vars(chi)
+        eager = CharTable(p, n, conv, k.char_values(rho))
+        assert np.array_equal(chi.values, eager.values)
+        assert chi.values is chi.values and not chi.values.flags.writeable
+        assert np.array_equal(wigner_from_char(chi).values, wigner_from_char(eager).values)
+        assert np.array_equal(wigner_function(rho, p, n, conv).values,
+                              wigner_from_char(eager).values)
+
+
+def test_char_function_keeps_a_read_only_copy_of_rho(rng):
+    rho = random_density(9, rng)
+    keep = rho.copy()
+    chi = char_function(rho, 3, 2)
+    rho[0, 0] += 5.0  # the caller's array stays writable and is not the table's
+    rho[1, 2] = np.nan
+    assert np.array_equal(chi.density, keep)
+    assert not chi.density.flags.writeable
+    assert density_from_char(chi) is chi.density
+    assert np.array_equal(chi.values, char_function(keep, 3, 2).values)
+    # a real or list input is held as a complex copy too
+    chi = char_function(keep.real.tolist(), 3, 2)
+    assert chi.density.dtype == complex and np.array_equal(chi.density, keep.real)
+
+
+ENTRY_REFUSALS = [
+    (4, 1, None, np.eye(4), FieldError, "4 is not prime"),
+    (3, 1, "bogus", np.eye(3), ConventionError, "unknown convention 'bogus'"),
+    (2, 1, "separable", np.eye(2), ConventionError, "needs an odd prime"),
+    (3, 2, "p2-left", np.eye(9), ConventionError, "only defined for p=2, n=2"),
+    (3, 1, None, np.eye(9), ValueError, r"expected a 3x3 matrix, got \(9, 9\)"),
+    (3, 2, None, np.ones(9), ValueError, r"expected a 9x9 matrix, got \(9,\)"),
+]
+
+
+@pytest.mark.parametrize("build", [char_function, wigner_function])
+@pytest.mark.parametrize("p,n,conv,rho,exc,msg", ENTRY_REFUSALS)
+def test_tables_of_a_matrix_refuse_bad_input_at_entry(build, p, n, conv, rho, exc, msg):
+    # every check runs when the table is made, not when its values are first read
+    with pytest.raises(exc, match=msg):
+        build(rho, p, n, conv)
+    if conv is None:  # the dynamics table fixes its own convention
+        with pytest.raises(exc, match=msg):
+            char_dynamics_table(rho, p, n)
