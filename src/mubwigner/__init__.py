@@ -53,6 +53,7 @@ from .wigner import (
     char_function,
     check_complete_factorization,
     check_product_factorization,
+    class_marginals,
     default_convention,
     density_from_char,
     marginal_along,

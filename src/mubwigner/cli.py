@@ -95,12 +95,11 @@ def cmd_mub(args) -> int:
     _validate_pn(args.p, args.n)
     bases = full_mub(args.p, args.n)
     report = verify_mub(bases, args.p, args.n, args.tol)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out.with_suffix(".json") if out.suffix != ".json" else out, "w") as fh:
+    prefix = args.out.removesuffix(".json")  # <prefix>.json and <prefix>.report.json
+    Path(prefix).parent.mkdir(parents=True, exist_ok=True)
+    with open(prefix + ".json", "w") as fh:
         write_mub_json(fh, bases, args.p, args.n)
-    report_path = Path(str(out).removesuffix(".json") + ".report.json")
-    with open(report_path, "w") as fh:
+    with open(prefix + ".report.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2)
     print(f"{args.p}^{args.n}: {report.num_bases} bases, "
           f"max unbiasedness defect {report.max_unbiasedness_defect:.3e}")

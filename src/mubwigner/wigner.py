@@ -35,15 +35,26 @@ phases eta^{-r(alpha).b} are a kernel constant. class_marginals reads that
 array; marginal_along reads frozen rows of Python floats (None where the
 entry is not real), built from it once per table, so each lookup is one tuple
 index. Characteristic and Wigner tables share one immutable base, which checks
-what enters (p^{2n} values, a convention valid at (p, n)), compares and
-hashes by identity, and holds one read-only array from the start: a copy of
-the values it is given or, for a table made by char_function or evolve, its
-density. Every derived array, a table's values, density or marginals as
-well as the kernel's gathers code(-w) and the odd-p partial transpose
-x_1 -> -1 - x_1, is a cached property, built read-only on first read.
-wigner_function computes W from rho at once and keeps no density. The
-gathers are digit maps (spins.code_map), built without the (N, 2n) vectors,
-which are made only when read. The A operators,
+what enters (p^{2n} values, a convention valid at (p, n)) and compares and
+hashes by identity. A characteristic table holds from the start a read-only
+copy of the values it is given or, when char_function or evolve makes it,
+its density. A Wigner table reaches chi and rho through one cached link, its
+char, so the inverse symplectic FT runs at most once per table: the marginals,
+the density and the p=2 partial transpose all read char. wigner_from_char
+keeps the chi it is given as char, with the density that chi holds; an
+evolved Wigner table's char is the table of its density, and its W is the
+symplectic FT of that chi; a table made from values (wigner_function,
+WignerTable(...)) builds char on first read. The link costs memory: a Wigner
+table keeps its char, one more N-entry array, for as long as it lives. The
+partial transpose of a table whose char was built from a density holds that
+density with the second factor transposed, an exact index map, so its
+density costs no transform; a density that a read computed is never used,
+so no result depends on the order of reads. Every derived array, a table's
+values, char, density or marginals as well as the kernel's gathers code(-w)
+and the odd-p partial transpose x_1 -> -1 - x_1, is a cached property,
+built read-only on first read. wigner_function computes W from rho at once
+and keeps no density. The gathers are digit maps (spins.code_map), built
+without the (N, 2n) vectors, which are made only when read. The A operators,
 in every convention, are translates of A(0), built on request.
 """
 
@@ -250,14 +261,15 @@ class WignerKernel:
 @dataclass(frozen=True, eq=False)
 class _Table:
     """p^{2n} values on V_{2n}(p) in index-code order, in one convention, equal
-    only to itself. It holds from the start either a checked read-only copy of
-    the values it is given or, by _from_density (char_function, evolve), its
-    read-only density; the other is a cached property, built on first read."""
+    only to itself. The constructor holds a checked read-only copy of the
+    values it is given; _holding builds a table that holds something else
+    from the start. Whatever a table does not hold is a cached property,
+    built on first read."""
 
     p: int
     n: int
     convention: str
-    values: np.ndarray  # for a _from_density table, each subclass's cached property
+    values: np.ndarray  # for a table built by _holding without values, a cached property
 
     def __post_init__(self):
         _validate_convention(self.p, self.n, self.convention)
@@ -267,11 +279,11 @@ class _Table:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _from_density(cls, p: int, n: int, convention: str, rho: np.ndarray):
-        """The table of rho, d x d and kept read-only as its density; (p, n,
-        convention) already checked."""
+    def _holding(cls, p: int, n: int, convention: str, **held):
+        """A table of (p, n, convention), already checked, that holds the
+        read-only arrays or tables in `held` from the start."""
         table = object.__new__(cls)
-        vars(table).update(p=p, n=n, convention=convention, density=frozen(rho))
+        vars(table).update(p=p, n=n, convention=convention, **held)
         return table
 
     def value(self, w: Sequence[int]) -> complex:
@@ -285,6 +297,15 @@ class _Table:
 @dataclass(frozen=True, eq=False)  # frozen itself: a plain subclass takes new attributes
 class CharTable(_Table):
     """chi(w) = tr[rho G(w)] on V_{2n}(p), with rho as its density."""
+
+    _rho = None  # the density the table was built from; None for a value-first table
+
+    @classmethod
+    def _from_density(cls, p: int, n: int, convention: str, rho: np.ndarray) -> "CharTable":
+        """The table of rho, d x d and kept read-only as its density; (p, n,
+        convention) already checked."""
+        rho = frozen(rho)
+        return cls._holding(p, n, convention, density=rho, _rho=rho)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -301,19 +322,31 @@ class CharTable(_Table):
 
 @dataclass(frozen=True, eq=False)
 class WignerTable(_Table):
-    """W(v) on V_{2n}(p), real for Hermitian inputs; its density and
-    marginals once asked for."""
+    """W(v) on V_{2n}(p), real for Hermitian inputs, the symplectic FT of its
+    char; its density and marginals once asked for, both read through char."""
+
+    @classmethod
+    def _from_density(cls, p: int, n: int, convention: str, rho: np.ndarray) -> "WignerTable":
+        """The table of rho, whose char is the table of rho built from its
+        density; (p, n, convention) already checked."""
+        return cls._holding(p, n, convention, char=CharTable._from_density(p, n, convention, rho))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         """W of a table built from its density, computed once, read-only."""
-        k = self.kernel
-        return frozen(k.symplectic_ft(k.char_values(self.density)))
+        return frozen(self.kernel.symplectic_ft(self.char.values))
+
+    @functools.cached_property
+    def char(self) -> CharTable:
+        """chi(w) = sum_v eta^{w o v} W(v), computed once from the values; a
+        table from wigner_from_char or evolve holds its char from the start."""
+        return CharTable(self.p, self.n, self.convention,
+                         self.kernel.inverse_symplectic_ft(self.values))
 
     @functools.cached_property
     def density(self) -> np.ndarray:
-        """rho = p^n sum_v W(v) A(v), computed once through chi, read-only."""
-        return char_from_wigner(self).density
+        """rho = p^n sum_v W(v) A(v): the density of char, read-only."""
+        return self.char.density
 
     def real_values(self, tol: float = ZERO_TOL) -> np.ndarray:
         if np.abs(self.values.imag).max() > tol:
@@ -329,7 +362,7 @@ class WignerTable(_Table):
         if k.shifts is None:
             raise ConventionError("no generator-route shifts exist for this convention")
         p, n, d = k.p, k.n, k.dim
-        chi = k.inverse_symplectic_ft(self.values)[k.geom.codes]
+        chi = self.char.values[k.geom.codes]
         chi *= k._marginal_phases
         lines = digit_dft(chi.reshape((d + 1,) + (p,) * n), p, (0,) + (1,) * n)
         return frozen(lines.reshape(d + 1, d) / d)
@@ -358,12 +391,14 @@ def char_function(
 
 
 def wigner_from_char(chi: CharTable) -> WignerTable:
-    k = chi.kernel
-    return WignerTable(chi.p, chi.n, chi.convention, k.symplectic_ft(chi.values))
+    """W of chi, computed now; the table keeps chi itself as its char."""
+    values = frozen(chi.kernel.symplectic_ft(chi.values))
+    return WignerTable._holding(chi.p, chi.n, chi.convention, values=values, char=chi)
 
 
 def char_from_wigner(wt: WignerTable) -> CharTable:
-    return CharTable(wt.p, wt.n, wt.convention, wt.kernel.inverse_symplectic_ft(wt.values))
+    """The table's char: the chi it was made from, or chi computed on first read."""
+    return wt.char
 
 
 def wigner_function(
@@ -501,20 +536,30 @@ def wigner_partial_transpose(wt: WignerTable) -> WignerTable:
 
     Odd p (separable convention): (x0,y0,x1,y1) -> (x0,y0,p-1-x1,y1).
     p=2 (left/right conventions): sign flip of chi on second block (1,1).
+    When wt was built from a density (char_function, evolve), the result
+    holds that density with the second factor transposed, an exact index
+    map; a density that a read has computed is never used.
     """
     if wt.n != 2:
         raise ValueError("partial transpose acts on n=2 tables")
-    p = wt.p
+    p, conv = wt.p, wt.convention
     if p % 2 == 1:
-        if wt.convention != "separable":
+        if conv != "separable":
             raise ConventionError("odd-p partial transpose needs the separable convention")
-        return WignerTable(p, 2, wt.convention, wt.values[wt.kernel._pt_perm])
-    if wt.convention not in ("p2-left", "p2-right"):
-        raise ConventionError("p=2 partial transpose needs a p2 convention")
-    chi = char_from_wigner(wt)
-    # -1 where the second block (x1, y1) is (1, 1), whose digit-pair code is 3
-    chi = CharTable(p, 2, wt.convention, chi.values * np.tile([1.0, 1.0, 1.0, -1.0], 4))
-    return wigner_from_char(chi)
+        values = wt.values[wt.kernel._pt_perm]
+    else:
+        if conv not in ("p2-left", "p2-right"):
+            raise ConventionError("p=2 partial transpose needs a p2 convention")
+        # -1 where the second block (x1, y1) is (1, 1), whose digit-pair code is 3
+        values = wt.kernel.symplectic_ft(wt.char.values * np.tile([1.0, 1.0, 1.0, -1.0], 4))
+    # the density wt was built from, if any: a char held since construction
+    # has it as _rho; a char that a read computed (or none yet) has none
+    rho = getattr(vars(wt).get("char"), "_rho", None)
+    if rho is None:
+        return WignerTable._holding(p, 2, conv, values=frozen(values))
+    rho_pt = rho.reshape(p, p, p, p).transpose(0, 3, 2, 1).reshape(p * p, p * p)
+    return WignerTable._holding(p, 2, conv, values=frozen(values),
+                                char=CharTable._from_density(p, 2, conv, rho_pt))
 
 
 @dataclass

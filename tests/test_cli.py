@@ -228,6 +228,18 @@ def test_cli_mub(tmp_path, capsys):
     assert abs(np.trace(P0 @ P1).real - 1 / 9) < TOL
 
 
+@pytest.mark.parametrize("out,prefix", [("run.v2", "run.v2"), ("run.v2.json", "run.v2"),
+                                        ("m32", "m32"), ("m32.json", "m32"),
+                                        ("sub/a.b.c", "sub/a.b.c")])
+def test_cli_mub_files_share_one_prefix(tmp_path, out, prefix):
+    # the data file and its report are <--out minus one trailing .json>.json and .report.json
+    assert main(["mub", "--p", "3", "--n", "1", "--out", str(tmp_path / out)]) == 0
+    written = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*") if f.is_file())
+    assert written == [prefix + ".json", prefix + ".report.json"]
+    assert len(json.loads((tmp_path / (prefix + ".json")).read_text())["bases"]) == 4
+    assert json.loads((tmp_path / (prefix + ".report.json")).read_text())["passed"] is True
+
+
 def test_cli_mub_rejects_nonprime(tmp_path):
     assert main(["mub", "--p", "4", "--n", "1", "--out", str(tmp_path / "x")]) == 2
 

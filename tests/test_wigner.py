@@ -16,11 +16,13 @@ from dense_oracle import (
     kernel_op,
     kernel_ops,
     outcome_codes,
+    partial_transpose_matrix,
     projector_a_stack,
     spin_stack,
 )
 from mubwigner.dynamics import (
     build_char_generator,
+    build_wigner_generator,
     char_dynamics_table,
     density_from_dynamics_char,
     evolve,
@@ -1237,3 +1239,144 @@ def test_tables_of_a_matrix_refuse_bad_input_at_entry(build, p, n, conv, rho, ex
     if conv is None:  # the dynamics table fixes its own convention
         with pytest.raises(exc, match=msg):
             char_dynamics_table(rho, p, n)
+
+
+# -- the char link, and the partial transpose of a held density ---------------
+
+PT_CASES = [(3, "separable"), (5, "separable"), (7, "separable"), (2, "p2-left"), (2, "p2-right")]
+
+
+def _inverse_ft_char(wt):
+    """chi as the inverse symplectic FT of W, a fresh value-first table."""
+    return CharTable(wt.p, wt.n, wt.convention, wt.kernel.inverse_symplectic_ft(wt.values))
+
+
+def _slice_marginals(k, chi_values):
+    """The marginals as the Fourier slice of chi_values, written out."""
+    p, n, d = k.p, k.n, k.dim
+    chi = chi_values[k.geom.codes] * k._marginal_phases
+    return spins_mod.digit_dft(chi.reshape((d + 1,) + (p,) * n), p, (0,) + (1,) * n).reshape(d + 1, d) / d
+
+
+def _pt_values(wt, chi_values):
+    """The partial transpose's phase-space action: the index map x_1 -> -1 - x_1
+    on W (odd p), or W of chi with its sign flipped where (x1, y1) = (1, 1) (p=2)."""
+    k = wt.kernel
+    if wt.p % 2:
+        return wt.values[k._pt_perm]
+    return k.symplectic_ft(chi_values * np.tile([1.0, 1.0, 1.0, -1.0], 4))
+
+
+def test_class_marginals_is_exported():
+    import mubwigner
+
+    assert mubwigner.class_marginals is class_marginals
+
+
+def test_wigner_from_char_keeps_the_chi_it_is_given(rng):
+    rho = random_density(9, rng)
+    k = wigner_kernel(3, 2, "separable")
+    for chi in (char_function(rho, 3, 2), CharTable(3, 2, "separable", k.char_values(rho))):
+        wt = wigner_from_char(chi)
+        assert char_from_wigner(wt) is chi and wt.char is chi
+        assert reconstruct_density(wt) is chi.density
+        _assert_read_only(wt.values)
+    # a char_function table shares its held rho with no copy
+    chi = char_function(rho, 3, 2)
+    assert reconstruct_density(wigner_from_char(chi)) is chi.density is chi._rho
+    # a value-first Wigner table builds its char once, on first read
+    wt = wigner_function(rho, 3, 2)
+    assert "char" not in vars(wt)
+    assert char_from_wigner(wt) is wt.char and wt.char._rho is None
+    assert np.array_equal(wt.char.values, k.inverse_symplectic_ft(wt.values))
+
+
+@pytest.mark.parametrize("p,n,conv", ALL_CASES + [(p, 2, conv) for p, conv in PT_CASES if p > 3])
+def test_value_first_tables_read_their_char_as_before(p, n, conv, rng):
+    # density, marginals and partial transpose are bit for bit the formulas
+    # written out on chi: the inverse FT of W for a table made from W, and the
+    # given chi itself for a table made by wigner_from_char
+    d, k = p**n, wigner_kernel(p, n, conv)
+    rho = random_density(d, rng)
+    wt = wigner_function(rho, p, n, conv)
+    chi = CharTable(p, n, conv, k.char_values(rho))
+    tables = [(wt, _inverse_ft_char(wt)), (WignerTable(p, n, conv, wt.values), _inverse_ft_char(wt)),
+              (wigner_from_char(chi), chi)]
+    for table, ref in tables:
+        assert np.array_equal(table.density, ref.density)
+        assert np.array_equal(table.char.values, ref.values)
+        if k.shifts is not None:
+            assert np.array_equal(table._marginals, _slice_marginals(k, ref.values))
+        if (p, conv) in PT_CASES and n == 2:
+            wpt = wigner_partial_transpose(table)
+            assert np.array_equal(wpt.values, _pt_values(table, ref.values))
+            assert "char" not in vars(wpt)  # no density held: it is read through chi
+            assert np.array_equal(wpt.density, _inverse_ft_char(wpt).density)
+    # made from W or from chi, the two routes differ only by an FT round trip
+    assert np.abs(tables[2][0].density - wt.density).max() < 1e-13
+
+
+@pytest.mark.parametrize("p,conv", PT_CASES)
+@pytest.mark.parametrize("read_first", [False, True])
+def test_partial_transpose_of_a_held_density_is_exact(p, conv, read_first, rng):
+    rho = random_density(p * p, rng)
+    want = partial_transpose_matrix(rho, p)
+    # char_function and the density-first table that evolve makes hold rho
+    for wt in (wigner_from_char(char_function(rho, p, 2, conv)),
+               WignerTable._from_density(p, 2, conv, rho.copy())):
+        if read_first:
+            wt.density, wt.values
+        wpt = wigner_partial_transpose(wt)
+        assert np.array_equal(reconstruct_density(wpt), want)
+        _assert_read_only(wpt.density)
+        assert np.array_equal(wpt.values, _pt_values(wt, wt.char.values))
+        assert np.abs(wpt.values - wigner_function(want, p, 2, conv).values).max() < 1e-13
+        # the index map is an involution, so the partial transpose twice is rho
+        assert np.array_equal(reconstruct_density(wigner_partial_transpose(wpt)), rho)
+
+
+@pytest.mark.parametrize("p,conv", PT_CASES)
+def test_partial_transpose_density_does_not_depend_on_earlier_reads(p, conv, rng):
+    rho = random_density(p * p, rng)
+    k = wigner_kernel(p, 2, conv)
+    builds = (lambda: wigner_function(rho, p, 2, conv),
+              lambda: wigner_from_char(CharTable(p, 2, conv, k.char_values(rho))),
+              lambda: wigner_from_char(char_function(rho, p, 2, conv)))
+    for build in builds:
+        fresh, read = build(), build()
+        read.density, read._marginals  # a cached density is never the partial transpose's seed
+        a = wigner_partial_transpose(fresh)
+        b = wigner_partial_transpose(read)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(reconstruct_density(a), reconstruct_density(b))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 2), (3, 1)])
+def test_evolved_wigner_tables_read_w_through_the_char_of_their_density(p, n, rng):
+    d = p**n
+    gen = build_wigner_generator(random_hermitian(d, rng), p, n)
+    k = wigner_kernel(p, n, "dynamics")
+    wt = evolve(wigner_function(random_density(d, rng), p, n, "dynamics"), gen, 0.4)
+    assert set(vars(wt)) == {"p", "n", "convention", "char"}
+    assert wt.char._rho is wt.density
+    assert np.array_equal(wt.values, k.symplectic_ft(k.char_values(wt.density)))
+    assert wt.values is wt.values and wt.char.values is wt.char.values
+    if n == 2:  # the dynamics convention has no partial transpose
+        with pytest.raises(ConventionError):
+            wigner_partial_transpose(wt)
+
+
+VALUE_ROUTE_CASES = [(p, n, conv) for p in range(2, 50) if is_prime(p) for n in range(1, 6)
+                     if p**n <= 49 for conv in _valid_conventions(p, n)]
+
+
+@pytest.mark.parametrize("p,n,conv", VALUE_ROUTE_CASES)
+def test_value_route_round_trips_rho(p, n, conv):
+    # tables made from values, which read rho back through the inverse FT and combine
+    rng = np.random.default_rng([p, n, len(conv)])
+    d = p**n
+    for rho in (random_density(d, rng), (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d):
+        wt = wigner_function(rho, p, n, conv)
+        chi = CharTable(p, n, conv, wigner_kernel(p, n, conv).char_values(rho))
+        for table in (wt, WignerTable(p, n, conv, wt.values), wigner_from_char(chi)):
+            assert np.abs(reconstruct_density(table) - rho).max() < 1e-12
